@@ -506,6 +506,14 @@ _CHECKS = {
     "spread-intersections": check_spread_intersections,
 }
 
+# Checks that hold vacuously when n < 2k+1, where no two k-spaces are disjoint.
+_NEED_DISJOINT_PAIRS = (
+    "disjointness-counts",
+    "kneser-eigenvector",
+    "eigenspace-split",
+    "switching-sets",
+)
+
 
 def run_battery(
     cand: CLCandidate,
@@ -516,11 +524,16 @@ def run_battery(
     if config is None:
         config = BatteryConfig()
     report = BatteryReport(x=cand.x, size=len(cand))
+    p = cand.ctx.params
     for name in config.checks:
         if name not in _CHECKS:
             raise ValueError(f"unknown battery check: {name}")
         start = time.perf_counter()
-        result = _CHECKS[name](cand, bundle, config)
+        if name in _NEED_DISJOINT_PAIRS and p.n < 2 * p.k + 1:
+            note = f"no two {p.k}-spaces of PG({p.n},{p.q}) are disjoint"
+            result = CheckResult(Verdict.SKIPPED, note=note)
+        else:
+            result = _CHECKS[name](cand, bundle, config)
         result.seconds = time.perf_counter() - start
         report.results[name] = result
     if not report.agreed:

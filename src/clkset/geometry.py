@@ -10,6 +10,7 @@ rest of the package runs on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .gf import FieldCtx, FieldReduction, field_ctx
@@ -157,6 +158,7 @@ class GeometryCtx:
         self._sub_spread_cache: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
         self._sub_spread_masks: dict[tuple[tuple[int, ...], ...], list[int]] = {}
         self._perm_maps: list[tuple[int, ...]] | None = None
+        self._bundle = None  # the scheme.SchemeBundle of bundle_for
 
     # -- enumeration ------------------------------------------------------
 
@@ -225,19 +227,32 @@ class GeometryCtx:
         return self._point_count_to_dim[common]
 
     def relation_masks(self) -> list[list[int]]:
-        """rel[i][c] = bitmask of k-spaces meeting k-space c in dim k-i."""
+        """rel[i][c] = bitmask of k-spaces meeting k-space c in dim k-i.
+
+        at_least[d][c], the k-spaces meeting c in dimension >= d, is the OR
+        of star(S) over the d-subspaces S of c; star(S), the k-spaces
+        through S, is the AND of the pencils of S's basis points."""
         if self._relations is None:
             k = self.params.k
             total = len(self.kspaces)
-            rel = [[0] * total for _ in range(k + 2)]
-            for c in range(total):
-                rel[0][c] |= 1 << c
-                for d in range(c + 1, total):
-                    i = k - self.meet_dim_ids(c, d)
-                    rel[i][c] |= 1 << d
-                    rel[i][d] |= 1 << c
+            at_least = []
+            for d in range(k):
+                level = [0] * total
+                for sub in self.subspaces_of_dim(d):
+                    star = self.full_kspace_mask
+                    for row in sub.basis:
+                        star &= self.pencil_masks[self.point_id[row]]
+                    for c in self._ids_from_mask(star):
+                        level[c] |= star
+                at_least.append(level)
+            at_least.append([1 << c for c in range(total)])
+            rel = [at_least[k]]
+            for d in range(k - 1, -1, -1):
+                rel.append([a & ~b for a, b in zip(at_least[d], at_least[d + 1])])
+            rel.append([self.full_kspace_mask & ~a for a in at_least[0]])
             for c in range(total):  # the relations partition all pairs
-                assert sum(rel[i][c] for i in range(k + 2)) == self.full_kspace_mask
+                if sum(rel[i][c] for i in range(k + 2)) != self.full_kspace_mask:
+                    raise RuntimeError(f"relation masks do not partition at {c}")
             self._relations = rel
         return self._relations
 
@@ -426,25 +441,22 @@ class GeometryCtx:
         coordinates.  Small-geometry tool for sampled spread generation and
         optional search symmetry reduction."""
         if self._perm_maps is None:
-            import math
-
-            n = self.params.n
-            if math.factorial(n + 1) > cap:
-                raise GeometrySizeError(
-                    f"{math.factorial(n + 1)} coordinate permutations exceed cap {cap}"
-                )
-            maps = []
-            for perm in itertools.permutations(range(n + 1)):
-                img = []
-                for sub in self.kspaces:
-                    moved = [
-                        tuple(row[perm[j]] for j in range(n + 1)) for row in sub.basis
-                    ]
-                    canon = rref(moved, self.field)
-                    img.append(self.kspace_id[canon])
-                maps.append(tuple(img))
-            self._perm_maps = maps
+            self._perm_maps = [
+                tuple(self._permuted_id(c, perm) for c in range(len(self.kspaces)))
+                for perm in self._coordinate_permutations(cap)
+            ]
         return self._perm_maps
+
+    def _coordinate_permutations(self, cap: int):
+        count = math.factorial(self.params.n + 1)
+        if count > cap:
+            raise GeometrySizeError(f"{count} coordinate permutations exceed cap {cap}")
+        return itertools.permutations(range(self.params.n + 1))
+
+    def _permuted_id(self, c: int, perm) -> int:
+        """Id of the image of k-space c under a coordinate permutation."""
+        moved = [tuple(row[j] for j in perm) for row in self.kspaces[c].basis]
+        return self.kspace_id[rref(moved, self.field)]
 
     def permuted_spread_sample(self) -> list[tuple[int, ...]]:
         """Deduplicated images of the field-reduction spread under all
@@ -452,8 +464,8 @@ class GeometryCtx:
         geometries too large for exhaustive enumeration."""
         base = self.construct_spread()
         spreads = {base}
-        for mapping in self.coordinate_permutation_maps():
-            spreads.add(tuple(sorted(mapping[c] for c in base)))
+        for perm in self._coordinate_permutations(DEFAULT_PERMUTATION_CAP):
+            spreads.add(tuple(sorted(self._permuted_id(c, perm) for c in base)))
         return sorted(spreads)
 
 

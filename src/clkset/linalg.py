@@ -42,11 +42,6 @@ class ExactMatrix:
     def row(self, r: int) -> list[Fraction]:
         return self.rows[r]
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.rows[r][c] for r in range(self.nrows)] for c in range(self.ncols)]
-        )
-
     def matvec(self, v) -> list[Fraction]:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
@@ -134,10 +129,6 @@ class ExactMatrix:
                 v[p] = -rows[r][f]
             basis.append(v)
         return basis
-
-    def kernel_basis_int(self) -> list[tuple[int, ...]]:
-        """Kernel basis scaled to primitive integer vectors."""
-        return [scale_to_int(v) for v in self.kernel_basis()]
 
     def reduce_against(self, v) -> list[Fraction]:
         """Residual of v after elimination against this matrix's RREF rows."""

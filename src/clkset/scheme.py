@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .geometry import GeometryCtx, GeometrySizeError
 from .linalg import ExactMatrix, scale_to_int
@@ -98,21 +99,20 @@ def v1_eigen_check(v, ctx: GeometryCtx, kneser: ExactMatrix | None = None) -> bo
     """
     p = ctx.params
     lam = eigenvalue_p(1, p.k + 1, p)
-    vv = [Fraction(x) for x in v]
     if kneser is not None:
-        kv = kneser.matvec(vv)
+        kv = kneser.matvec(v)
     else:
         masks = ctx.disjointness_masks()
         kv = []
         for c in range(len(ctx.kspaces)):
             m = masks[c]
-            acc = Fraction(0)
+            acc = 0
             while m:
                 low = m & -m
-                acc += vv[low.bit_length() - 1]
+                acc += v[low.bit_length() - 1]
                 m ^= low
             kv.append(acc)
-    return all(kvi == lam * vi for kvi, vi in zip(kv, vv))
+    return all(kvi == lam * vi for kvi, vi in zip(kv, v))
 
 
 @dataclass(frozen=True)
@@ -192,18 +192,18 @@ def full_spectrum_check(ctx: GeometryCtx) -> SpectrumCertificate:
 
 
 class SchemeBundle:
-    """Per-geometry cache of the scheme artifacts the battery and the search
-    need: incidence RREF, integer kernel basis, relation masks, spreads."""
+    """Per-geometry store of the scheme artifacts the battery and the search
+    need: incidence RREF, its free columns over the integers, spreads."""
 
     def __init__(self, ctx: GeometryCtx, cache=None):
         self.ctx = ctx
         self.cache = cache
         self._incidence: ExactMatrix | None = None
+        self._free_columns: list | None = None
         self._kernel_int: list[tuple[int, ...]] | None = None
         self._spreads: list[tuple[int, ...]] | None = None
         self._spreads_exhaustive: bool | None = None
         self._spread_masks: list[int] | None = None
-        self._relations_synced = False
 
     @property
     def params(self):
@@ -217,40 +217,43 @@ class SchemeBundle:
     def incidence_rref(self):
         return self.incidence().rref()
 
+    def free_columns(self) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+        """The RREF's free columns over the integers: for each free column f,
+        (f, L, ((pivot column, L * R[r][f]), ...)) with L the lcm of the
+        column's denominators and only nonzero coefficients listed."""
+        if self._free_columns is None:
+            rows, pivots = self.incidence_rref()
+            pivot_set = set(pivots)
+            out = []
+            for f in range(len(self.ctx.kspaces)):
+                if f in pivot_set:
+                    continue
+                scale = lcm(*(row[f].denominator for row in rows))
+                supp = tuple(
+                    (pcol, int(rows[r][f] * scale))
+                    for r, pcol in enumerate(pivots)
+                    if rows[r][f]
+                )
+                out.append((f, scale, supp))
+            self._free_columns = out
+        return self._free_columns
+
     def kernel_int(self) -> list[tuple[int, ...]]:
-        """Integer-scaled kernel basis of the incidence matrix."""
+        """Primitive integer kernel basis of the incidence matrix, one vector
+        per free column: L at f and minus each coefficient at its pivot."""
         if self._kernel_int is None:
-            payload = self.cache.get("kernel", self.params) if self.cache else None
-            if payload is not None:
-                self._kernel_int = [tuple(v) for v in payload]
-            else:
-                self._kernel_int = [
-                    scale_to_int(v) for v in self.incidence().kernel_basis()
-                ]
-                if self.cache:
-                    self.cache.put(
-                        "kernel", self.params, [list(v) for v in self._kernel_int]
-                    )
+            total = len(self.ctx.kspaces)
+            basis = []
+            for f, scale, supp in self.free_columns():
+                v = [0] * total
+                v[f] = scale
+                for pcol, coef in supp:
+                    v[pcol] = -coef
+                basis.append(tuple(v))
+            self._kernel_int = basis
         return self._kernel_int
 
     def relation_masks(self) -> list[list[int]]:
-        if not self._relations_synced and self.cache:
-            if self.ctx._relations is None:
-                payload = self.cache.get("relations", self.params)
-                if payload is not None:
-                    self.ctx._relations = [
-                        [int(m, 16) for m in row] for row in payload
-                    ]
-                else:
-                    self.cache.put(
-                        "relations",
-                        self.params,
-                        [
-                            [format(m, "x") for m in row]
-                            for row in self.ctx.relation_masks()
-                        ],
-                    )
-            self._relations_synced = True
         return self.ctx.relation_masks()
 
     def disjointness_masks(self) -> list[int]:
@@ -310,14 +313,11 @@ class SchemeBundle:
         return acc
 
 
-_BUNDLES: dict[int, SchemeBundle] = {}
-
-
 def bundle_for(ctx: GeometryCtx, cache=None) -> SchemeBundle:
-    key = id(ctx)
-    if key not in _BUNDLES:
-        _BUNDLES[key] = SchemeBundle(ctx, cache=cache)
-    b = _BUNDLES[key]
+    """The one SchemeBundle of a geometry, kept on the ctx itself."""
+    if ctx._bundle is None:
+        ctx._bundle = SchemeBundle(ctx, cache=cache)
+    b = ctx._bundle
     if cache is not None and b.cache is None:
         b.cache = cache
     return b

@@ -42,8 +42,6 @@ class SearchConfig:
     fix_in: tuple[int, ...] = ()
     fix_out: tuple[int, ...] = ()
     max_kspaces: int = DEFAULT_SEARCH_CAP
-    verify_results: bool = True
-    battery: BatteryConfig | None = None
 
 
 @dataclass
@@ -134,27 +132,18 @@ class _PropagateEngine:
             [_mask_ids(rel_masks[i][c]) for c in range(self.total)]
             for i in range(1, p.k + 2)
         ]
-        rows, pivots = bundle.incidence_rref()
+        _, pivots = bundle.incidence_rref()
         self.pivots = list(pivots)
-        pivot_set = set(pivots)
-        self.free_cols = [c for c in range(self.total) if c not in pivot_set]
+        self.free_cols = []
         self.f_scale: dict[int, int] = {}
-        self.f_supp: dict[int, list[tuple[int, int]]] = {}
+        self.f_supp: dict[int, tuple[tuple[int, int], ...]] = {}
         self.pivot_supp: dict[int, list[tuple[int, int]]] = {c: [] for c in pivots}
-        for f in self.free_cols:
-            lcm = 1
-            for r in range(len(rows)):
-                d = rows[r][f].denominator
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
-            supp = []
-            for r, pcol in enumerate(pivots):
-                coef = int(rows[r][f] * lcm)
-                if coef:
-                    supp.append((pcol, coef))
-                    self.pivot_supp[pcol].append((f, coef))
-            self.f_scale[f] = lcm
+        for f, scale, supp in bundle.free_columns():
+            self.free_cols.append(f)
+            self.f_scale[f] = scale
             self.f_supp[f] = supp
+            for pcol, coef in supp:
+                self.pivot_supp[pcol].append((f, coef))
         self.perm_maps = None
         if config.symmetry_reduce:
             self.perm_maps = ctx.coordinate_permutation_maps()
@@ -454,12 +443,6 @@ def _mask_ids(mask: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _reference_solve(
     ctx: GeometryCtx, bundle: SchemeBundle, x: Fraction, config: SearchConfig
 ) -> tuple[list[tuple[int, ...]], SearchStats, str | None]:
@@ -576,11 +559,10 @@ def search_all(
                     closed.add(tuple(sorted(mapping[c] for c in fam)))
             fams = list(closed)
     fams = sorted(set(fams))
-    if config.verify_results:
-        battery = config.battery or BatteryConfig()
-        for fam in fams:
-            report = run_battery(CLCandidate(ctx, fam), bundle, battery)
-            assert report.passed, f"search returned non-member family {fam[:8]}..."
+    battery = BatteryConfig()
+    for fam in fams:
+        if not run_battery(CLCandidate(ctx, fam), bundle, battery).passed:
+            raise RuntimeError(f"search returned non-member family {fam[:8]}...")
     stats.wall_seconds = time.perf_counter() - started
     return SearchResult(families=tuple(fams), stats=stats, reason=reason)
 

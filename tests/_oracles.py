@@ -58,6 +58,21 @@ def meet_dim_from_masks(ctx: GeometryCtx, mask_a: int, mask_b: int) -> int:
     return ctx._point_count_to_dim[(mask_a & mask_b).bit_count()]
 
 
+def relation_masks_pairwise(ctx: GeometryCtx) -> list[list[int]]:
+    """rel[i][c] = bitmask of k-spaces meeting k-space c in dim k-i, from the
+    point counts of all O(N^2) pairs: the reference for the star unions."""
+    k = ctx.params.k
+    total = len(ctx.kspaces)
+    rel = [[0] * total for _ in range(k + 2)]
+    for c in range(total):
+        rel[0][c] |= 1 << c
+        for d in range(c + 1, total):
+            i = k - ctx.meet_dim_ids(c, d)
+            rel[i][c] |= 1 << d
+            rel[i][d] |= 1 << c
+    return rel
+
+
 def valence_distribution_bruteforce(ctx: GeometryCtx, pi: int) -> list[int]:
     """Number of k-spaces meeting k-space pi in dimension k-i, for each i."""
     k = ctx.params.k

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from _oracles import relation_masks_pairwise
 
 from clkset import GeometrySizeError, SchemeParams, Subspace, geometry, qbinom
 from clkset.geometry import GeometryCtx, rref
@@ -120,6 +121,14 @@ class TestRelations:
                 for b in range(0, 130, 7):
                     assert ((rel[i][a] >> b) & 1) == ((rel[i][b] >> a) & 1)
 
+    @pytest.mark.parametrize(
+        "n,k,q",
+        [(3, 1, 2), (3, 1, 3), (4, 1, 2), (4, 2, 2), (5, 1, 2), (5, 2, 2), (3, 1, 5)],
+    )
+    def test_star_unions_match_pairwise_oracle(self, n, k, q):
+        ctx = geometry(n, k, q)
+        assert ctx.relation_masks() == relation_masks_pairwise(ctx)
+
     def test_disjoint_count_matches_formula(self, pg32):
         from clkset import count_disjoint
 
@@ -196,6 +205,12 @@ class TestSpreads:
         assert pg33.construct_spread() in sample
         for s in sample:
             assert pg33.is_partial_spread(s) and len(s) == 10
+        base = pg33.construct_spread()
+        via_maps = {base} | {
+            tuple(sorted(mapping[c] for c in base))
+            for mapping in pg33.coordinate_permutation_maps()
+        }
+        assert sample == sorted(via_maps)
 
 
 class TestSwitchingSets:

@@ -133,6 +133,23 @@ class TestDiskCache:
         assert runs[0] == runs[1]
         assert os.path.isdir(cache_dir)
 
+    def test_only_spreads_are_cached(self, tmp_path):
+        import subprocess
+        import sys
+
+        fam_path = str(tmp_path / "f.clkset")
+        cache_dir = str(tmp_path / "cache")
+        save_family(fam_path, point_pencil_family(geometry(5, 1, 2), 0))
+        proc = subprocess.run(
+            [sys.executable, "-m", "clkset.cli", "verify", "--in", fam_path,
+             "--cache-dir", cache_dir],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = os.listdir(cache_dir)
+        assert len(files) == 1 and files[0].startswith("spreads_")
+
 
 class TestCLI:
     def test_formulas_text(self, capsys):
@@ -197,6 +214,22 @@ class TestCLI:
         assert main(
             ["verify", "--in", path, "--cache-dir", str(tmp_path / "c")]
         ) == 1
+
+    def test_verify_plane_pencil_in_pg42(self, tmp_path, capsys):
+        out = str(tmp_path / "p.clkset")
+        main(["construct", "--kind", "pencil", "--n", "4", "--q", "2", "--k",
+              "2", "--out", out])
+        assert main(
+            ["verify", "--in", out, "--format", "json",
+             "--cache-dir", str(tmp_path / "c")]
+        ) == 0
+        data = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert data["verdicts"]["switching-sets"] == "skipped"
+        assert data["verdicts"]["disjointness-counts"] == "skipped"
+        ctx = geometry(4, 2, 2)
+        path = str(tmp_path / "junk.clkset")
+        save_family(path, family(ctx, range(0, 155, 11)))
+        assert main(["verify", "--in", path, "--cache-dir", str(tmp_path / "c")]) == 1
 
     def test_verify_malformed_exit_code(self, tmp_path):
         path = tmp_path / "junk.clkset"

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from clkset import (
+    GeometryCtx,
+    SchemeParams,
     build_incidence,
     build_relation,
+    bundle_for,
     eigenvalue_p,
     geometry,
     in_rowspace,
@@ -14,6 +19,7 @@ from clkset import (
     v1_eigen_check,
     valence,
 )
+from clkset.linalg import scale_to_int
 from clkset.scheme import disjointness_vector_identity, full_spectrum_check
 
 
@@ -139,6 +145,25 @@ class TestDisjointnessIdentity:
             1 if (pg32.kspace_masks[pi] >> p) & 1 else 0 for p in range(15)
         ]
         assert v_pi == expected
+
+
+class TestBundle:
+    @pytest.mark.parametrize("n,k,q", [(3, 1, 2), (3, 1, 3), (4, 1, 2), (4, 2, 2)])
+    def test_kernel_int_matches_scaled_fraction_basis(self, n, k, q):
+        bundle = bundle_for(geometry(n, k, q))
+        expected = [scale_to_int(v) for v in bundle.incidence().kernel_basis()]
+        assert bundle.kernel_int() == expected
+
+    def test_dropped_ctx_is_freed(self):
+        import gc
+        import weakref
+
+        ctx = GeometryCtx(SchemeParams(n=3, k=1, q=2))
+        assert bundle_for(ctx) is bundle_for(ctx)
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
 
 
 class TestEigenVerification:

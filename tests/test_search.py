@@ -108,6 +108,19 @@ class TestSearchPG32:
         assert report.all_empty
         assert all(row.reason is not None for row in report.rows)
 
+    def test_battery_failure_raises(self, pg32, pg32_bundle, monkeypatch):
+        import clkset.search
+        from clkset.families import BatteryReport, CheckResult, Verdict
+
+        def failing(cand, bundle, config=None):
+            report = BatteryReport(x=cand.x, size=len(cand))
+            report.results["kernel"] = CheckResult(Verdict.FAIL)
+            return report
+
+        monkeypatch.setattr(clkset.search, "run_battery", failing)
+        with pytest.raises(RuntimeError, match="non-member"):
+            search_all(pg32, 1, SearchConfig(), pg32_bundle)
+
     def test_cap_refusal(self):
         big = geometry(4, 2, 3)
         with pytest.raises(ValueError):
