@@ -77,7 +77,8 @@ class CLCandidate:
         p = self.ctx.params
         value = Fraction(len(self.ids), qbinom(p.n, p.k, p.q))
         lo, hi = parameter_range(p)
-        assert lo <= value <= hi
+        if not lo <= value <= hi:
+            raise RuntimeError(f"parameter {value} outside [{lo}, {hi}]")
         return value
 
     def chi(self, c: int) -> int:

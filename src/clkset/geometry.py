@@ -122,17 +122,20 @@ class GeometryCtx:
         self.params = params
         self.field = field_ctx(params.q)
         self.points: list[tuple[int, ...]] = _canonical_points(params.n, self.field)
-        assert len(self.points) == params.num_points
+        if len(self.points) != params.num_points:
+            raise RuntimeError(f"enumerated {len(self.points)} points, not {params.num_points}")
         self.point_id: dict[tuple[int, ...], int] = {
             p: i for i, p in enumerate(self.points)
         }
         self._dim_cache: dict[int, list[Subspace]] = {}
         self.kspaces: list[Subspace] = self.subspaces_of_dim(params.k)
-        assert len(self.kspaces) == total
+        if len(self.kspaces) != total:
+            raise RuntimeError(f"enumerated {len(self.kspaces)} {params.k}-spaces, not {total}")
         self.kspace_id: dict[tuple[tuple[int, ...], ...], int] = {
             s.basis: i for i, s in enumerate(self.kspaces)
         }
-        assert len(self.kspace_id) == len(self.kspaces)  # duplicate-free
+        if len(self.kspace_id) != len(self.kspaces):
+            raise RuntimeError(f"duplicate {params.k}-spaces in the enumeration")
         self._coeff_points = _canonical_points(params.k, self.field)
         self.kspace_points: list[tuple[int, ...]] = []
         self.kspace_masks: list[int] = []
@@ -328,7 +331,8 @@ class GeometryCtx:
             members.append(self.kspace_id[sub.basis])
         members.sort()
         spread = tuple(members)
-        assert self._is_partition(spread, self.full_point_mask)
+        if not self._is_partition(spread, self.full_point_mask):
+            raise RuntimeError("field-reduction spread does not partition the points")
         return spread
 
     def _is_partition(self, ids, target_mask: int) -> bool:

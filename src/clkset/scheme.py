@@ -9,33 +9,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .geometry import GeometryCtx, GeometrySizeError
-from .linalg import ExactMatrix, scale_to_int
+from .linalg import ExactMatrix, FreeColumn, fraction_rows, rref_int, scale_to_int
 from .qformulas import eigenvalue_p, qbinom
+
+
+def incidence_rows(ctx: GeometryCtx) -> list[list[int]]:
+    """Point-by-k-space 0/1 incidence rows, after its two regularity checks:
+    every k-space has qbinom(k+1,1) points and every point lies on
+    qbinom(n,k) k-spaces."""
+    p = ctx.params
+    points_per = qbinom(p.k + 1, 1, p.q)
+    per_point = qbinom(p.n, p.k, p.q)
+    for c, mask in enumerate(ctx.kspace_masks):
+        if mask.bit_count() != points_per:
+            raise RuntimeError(f"k-space {c} has {mask.bit_count()} points, not {points_per}")
+    for pid, mask in enumerate(ctx.pencil_masks):
+        if mask.bit_count() != per_point:
+            raise RuntimeError(f"point {pid} lies on {mask.bit_count()} k-spaces, not {per_point}")
+    return [
+        [(mask >> pid) & 1 for mask in ctx.kspace_masks] for pid in range(len(ctx.points))
+    ]
 
 
 def build_incidence(ctx: GeometryCtx) -> ExactMatrix:
     """Point-by-k-space incidence matrix, with its two regularity checks."""
-    p = ctx.params
-    rows = [
-        [1 if (mask >> pid) & 1 else 0 for mask in ctx.kspace_masks]
-        for pid in range(len(ctx.points))
-    ]
-    a = ExactMatrix(rows)
-    points_per = qbinom(p.k + 1, 1, p.q)
-    per_point = qbinom(p.n, p.k, p.q)
-    for c in range(a.ncols):
-        assert sum(a.rows[r][c] for r in range(a.nrows)) == points_per
-    for r in range(a.nrows):
-        assert sum(a.rows[r]) == per_point
-    return a
+    return ExactMatrix(incidence_rows(ctx))
 
 
 def build_relation(i: int, ctx: GeometryCtx) -> ExactMatrix:
     """Relation matrix A_i (symmetric 0/1; A_0 = I and sum_i A_i = J,
-    both asserted when the underlying masks are built)."""
+    both checked when the underlying masks are built)."""
     if not 0 <= i <= ctx.params.k + 1:
         raise ValueError(f"relation index {i} out of range")
     masks = ctx.relation_masks()[i]
@@ -49,21 +54,24 @@ def kernel_basis(a: ExactMatrix) -> list[list[Fraction]]:
     """Basis of ker(A); every vector checked against A."""
     basis = a.kernel_basis()
     for v in basis:
-        assert not any(a.matvec(v)), "kernel basis vector fails A v = 0"
-    assert len(basis) == a.ncols - a.rank()
+        if any(a.matvec(v)):
+            raise RuntimeError("kernel basis vector fails A v = 0")
+    if len(basis) != a.ncols - a.rank():
+        raise RuntimeError("kernel dimension differs from ncols - rank")
     return basis
 
 
 def in_rowspace(v, a: ExactMatrix) -> bool:
     """Membership of v in the row space of A, computed two ways (residual
-    against the RREF, and orthogonality to the kernel basis) and asserted
-    to agree."""
+    against the RREF, and orthogonality to the kernel basis) that must
+    agree."""
     by_residual = a.in_rowspace(v)
     by_kernel = all(
         sum((Fraction(x) * w for x, w in zip(v, kv) if x and w), Fraction(0)) == 0
         for kv in a.kernel_basis()
     )
-    assert by_residual == by_kernel, "row-space membership routes disagree"
+    if by_residual != by_kernel:
+        raise RuntimeError("row-space membership routes disagree")
     return by_residual
 
 
@@ -198,8 +206,8 @@ class SchemeBundle:
     def __init__(self, ctx: GeometryCtx, cache=None):
         self.ctx = ctx
         self.cache = cache
-        self._incidence: ExactMatrix | None = None
-        self._free_columns: list | None = None
+        self._rref: tuple[list[list[Fraction]], tuple[int, ...]] | None = None
+        self._free_columns: list[FreeColumn] | None = None
         self._kernel_int: list[tuple[int, ...]] | None = None
         self._spreads: list[tuple[int, ...]] | None = None
         self._spreads_exhaustive: bool | None = None
@@ -209,33 +217,20 @@ class SchemeBundle:
     def params(self):
         return self.ctx.params
 
-    def incidence(self) -> ExactMatrix:
-        if self._incidence is None:
-            self._incidence = build_incidence(self.ctx)
-        return self._incidence
+    def incidence_rref(self) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+        """(RREF rows as Fractions, pivot columns) of the incidence matrix,
+        from the certified integer elimination of linalg.rref_int."""
+        if self._rref is None:
+            rows = incidence_rows(self.ctx)
+            pivots, self._free_columns = rref_int(rows, len(self.ctx.kspaces))
+            self._rref = (fraction_rows(pivots, self._free_columns), pivots)
+        return self._rref
 
-    def incidence_rref(self):
-        return self.incidence().rref()
-
-    def free_columns(self) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    def free_columns(self) -> list[FreeColumn]:
         """The RREF's free columns over the integers: for each free column f,
         (f, L, ((pivot column, L * R[r][f]), ...)) with L the lcm of the
         column's denominators and only nonzero coefficients listed."""
-        if self._free_columns is None:
-            rows, pivots = self.incidence_rref()
-            pivot_set = set(pivots)
-            out = []
-            for f in range(len(self.ctx.kspaces)):
-                if f in pivot_set:
-                    continue
-                scale = lcm(*(row[f].denominator for row in rows))
-                supp = tuple(
-                    (pcol, int(rows[r][f] * scale))
-                    for r, pcol in enumerate(pivots)
-                    if rows[r][f]
-                )
-                out.append((f, scale, supp))
-            self._free_columns = out
+        self.incidence_rref()
         return self._free_columns
 
     def kernel_int(self) -> list[tuple[int, ...]]:

@@ -4,6 +4,8 @@ implementation under test."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
 from clkset import GeometryCtx
 
@@ -133,3 +135,54 @@ def skew_pair_profile_bruteforce(ctx: GeometryCtx, a: int, b: int):
     assert len(outer_counts) <= 1
     return by_span_dim, span_counts.pop(), (outer_counts.pop() if outer_counts else None)
 
+
+
+def rref_fraction(rows) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Gauss–Jordan over Fractions, pivoting on the smallest-magnitude entry
+    of each column: (nonzero RREF rows, pivot columns).  The reference for
+    the certified modular route of clkset.linalg."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        best = None
+        for i in range(r, len(work)):
+            v = work[i][c]
+            if v:
+                key = (abs(v), i)
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            continue
+        i = best[1]
+        work[r], work[i] = work[i], work[r]
+        inv = 1 / work[r][c]
+        if inv != 1:
+            work[r] = [v * inv for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                row_r = work[r]
+                work[i] = [a - f * b for a, b in zip(work[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], tuple(pivots)
+
+
+def free_columns_from_rref(rows, pivots, ncols: int):
+    """(f, L, ((pivot, L * R[r][f]), ...)) per non-pivot column f of an RREF
+    given as Fraction rows, L the lcm of the column's denominators."""
+    pivot_set = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        scale = lcm(*(row[f].denominator for row in rows))
+        supp = tuple(
+            (pcol, int(rows[r][f] * scale)) for r, pcol in enumerate(pivots) if rows[r][f]
+        )
+        out.append((f, scale, supp))
+    return out

@@ -19,8 +19,10 @@ from clkset import (
     v1_eigen_check,
     valence,
 )
-from clkset.linalg import scale_to_int
-from clkset.scheme import disjointness_vector_identity, full_spectrum_check
+from _oracles import free_columns_from_rref, rref_fraction
+from clkset import SchemeBundle
+from clkset.linalg import CertificateError, check_rref_certificate, rref_int, scale_to_int
+from clkset.scheme import disjointness_vector_identity, full_spectrum_check, incidence_rows
 
 
 class TestIncidence:
@@ -150,9 +152,38 @@ class TestDisjointnessIdentity:
 class TestBundle:
     @pytest.mark.parametrize("n,k,q", [(3, 1, 2), (3, 1, 3), (4, 1, 2), (4, 2, 2)])
     def test_kernel_int_matches_scaled_fraction_basis(self, n, k, q):
-        bundle = bundle_for(geometry(n, k, q))
-        expected = [scale_to_int(v) for v in bundle.incidence().kernel_basis()]
-        assert bundle.kernel_int() == expected
+        ctx = geometry(n, k, q)
+        rows, pivots = rref_fraction(incidence_rows(ctx))
+        total = len(ctx.kspaces)
+        expected = []
+        for f, _, _ in free_columns_from_rref(rows, pivots, total):
+            v = [Fraction(0)] * total
+            v[f] = Fraction(1)
+            for r, pcol in enumerate(pivots):
+                v[pcol] = -rows[r][f]
+            expected.append(scale_to_int(v))
+        assert bundle_for(ctx).kernel_int() == expected
+
+    @pytest.mark.parametrize(
+        "n,k,q", [(3, 1, 2), (3, 1, 3), (4, 1, 2), (4, 2, 2), (5, 1, 2)]
+    )
+    def test_incidence_rref_matches_fraction_oracle(self, n, k, q):
+        ctx = geometry(n, k, q)
+        bundle = SchemeBundle(ctx)
+        rows, pivots = rref_fraction(incidence_rows(ctx))
+        assert bundle.incidence_rref() == (rows, pivots)
+        assert bundle.free_columns() == free_columns_from_rref(rows, pivots, len(ctx.kspaces))
+
+    def test_tampered_incidence_certificate_raises(self, pg33):
+        rows = incidence_rows(pg33)
+        pivots, free = rref_int(rows, len(pg33.kspaces))
+        check_rref_certificate(rows, pivots, free)
+        j = next(j for j, (_, _, supp) in enumerate(free) if supp)
+        f, scale, supp = free[j]
+        (pcol, coef), *rest = supp
+        tampered = free[:j] + [(f, scale, ((pcol, coef + 1), *rest))] + free[j + 1 :]
+        with pytest.raises(CertificateError):
+            check_rref_certificate(rows, pivots, tampered)
 
     def test_dropped_ctx_is_freed(self):
         import gc
