@@ -138,17 +138,18 @@ def _free_columns(
 
 def check_rref_certificate(rows, pivots: tuple[int, ...], free_columns: list[FreeColumn]) -> None:
     """Raise CertificateError unless (pivots, free_columns) is the RREF of
-    the integer matrix `rows`.  Returns nothing: it is a check, not a test.
+    the integer matrix `rows`, given pivot columns that are independent.
 
     Checked here: the pivots are increasing and the free columns are the
     others, in order; every coefficient of free column f sits at a pivot
     column < f; and L * A[:, f] == sum(coef * A[:, pivot]) over the
-    integers, one big-int equation per column with one slot per row.  Not
-    checked here, because elimination modulo p guarantees it: the pivot
-    columns have rank len(pivots) modulo p, so a nonzero minor, so they are
-    independent over Q.  Together these make every pivot column independent
-    of the columns before it and every free column dependent on them, so the
-    pivots are the rational ones, and the coefficients are the unique RREF.
+    integers, one big-int equation per column with one slot per row.  The
+    independence is the caller's: rref_int takes the pivots from elimination
+    modulo a prime, where the pivot columns have full rank, so they have a
+    minor that is nonzero modulo p and hence over Z.  Together these make
+    every pivot column independent of the columns before it and every free
+    column dependent on them, so the pivots are the rational ones and the
+    coefficients give the unique RREF.
     """
     ncols = len(pivots) + len(free_columns)
     if any(len(row) != ncols for row in rows):

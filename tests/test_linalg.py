@@ -125,6 +125,7 @@ class TestRrefCertificate:
     def test_correct_certificate_returns(self):
         pivots, free = rref_int(self.ROWS, 4)
         assert pivots == (0, 1)
+        assert free == [(2, 1, ((0, 2), (1, 3))), (3, 1, ((0, 1), (1, 1)))]
         assert check_rref_certificate(self.ROWS, pivots, free) is None
 
     @pytest.mark.parametrize(
@@ -133,7 +134,7 @@ class TestRrefCertificate:
             lambda free: [(2, 1, ((0, 2), (1, 4))), free[1]],  # wrong coefficient
             lambda free: [(2, 2, ((0, 2), (1, 3))), free[1]],  # wrong scale
             lambda free: [free[0], (3, 1, ((0, 1),))],  # dropped coefficient
-            lambda free: [(2, 1, ((0, 2), (1, 3), (3, 0))), free[1]],  # pivot past f
+            lambda free: [(2, 1, ((0, 2), (1, 3), (3, 0))), free[1]],  # entry at a non-pivot column
             lambda free: [free[1], free[0]],  # columns out of order
         ],
     )
