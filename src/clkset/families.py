@@ -8,6 +8,10 @@ counts, disjointness-matrix eigenvector, eigenspace split, meet distribution,
 switching-set balance, spread intersection) and insists that all conclusive
 verdicts agree; a disagreement is a defect in this package, never a property
 of the input, and is raised loudly.
+
+The linear checks share one integer scan of the incidence RREF's free columns
+(`_first_residual`), the counting and spectral ones one popcount tally
+against member and non-member targets (`_first_tally_miss`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .qformulas import (
     qbinom,
     valence,
 )
-from .scheme import SchemeBundle, q_disjoint_coefficient, v1_eigen_check
+from .scheme import SchemeBundle, q_disjoint_coefficient
 
 
 class FamilyError(ValueError):
@@ -212,8 +216,6 @@ class BatteryConfig:
         "switching-sets",
         "spread-intersections",
     )
-    switching_pairs: tuple | None = None  # explicit (R, R') id-tuple pairs
-    max_sigma: int | None = None  # cap on (2k+1)-spaces scanned by def 7
     spread_mode: str = "auto"  # "auto": exhaustive when gated; "reduced": sampled
 
     @classmethod
@@ -239,84 +241,100 @@ def _spread_source(bundle: SchemeBundle, config: BatteryConfig):
 # -- individual checks -------------------------------------------------------
 
 
+def _first_residual(cand: CLCandidate, bundle: SchemeBundle) -> tuple[int, int] | None:
+    """(position, column) of the first free column f of the incidence RREF
+    with L_f * chi_f != sum(coef * chi_pivot), or None when there is none.
+
+    Row-reducing chi against the RREF leaves 0 at every pivot column and
+    chi_f - sum(R[r][f] * chi_pivot(r)) at free column f: the same integer
+    divided by L_f.  Its dot product with the f-th primitive kernel vector
+    is that integer itself, so one scan decides both linear checks."""
+    mask = cand.mask
+    _, free = bundle.incidence_rref()
+    for idx, (f, scale, supp) in enumerate(free):
+        combo = sum(coef for pcol, coef in supp if (mask >> pcol) & 1)
+        if scale * ((mask >> f) & 1) != combo:
+            return idx, f
+    return None
+
+
 def check_rowspace_membership(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
-    """Characteristic vector lies in the row space of the incidence matrix."""
-    rows, pivots = bundle.incidence_rref()
-    res = [Fraction(cand.chi(c)) for c in range(len(cand.ctx.kspaces))]
-    for r, p in enumerate(pivots):
-        f = res[p]
-        if f:
-            row = rows[r]
-            res = [a - f * b for a, b in zip(res, row)]
-    for c, v in enumerate(res):
-        if v:
-            return CheckResult(Verdict.FAIL, witness=("residual-at", c))
-    return CheckResult(Verdict.PASS)
+    """Characteristic vector lies in the row space of the incidence matrix;
+    a failure names the first column with a nonzero residual."""
+    miss = _first_residual(cand, bundle)
+    if miss is None:
+        return CheckResult(Verdict.PASS)
+    return CheckResult(Verdict.FAIL, witness=("residual-at", miss[1]))
 
 
 def check_kernel_orthogonality(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
-    """Characteristic vector is orthogonal to ker(A)."""
-    for idx, vec in enumerate(bundle.kernel_int()):
-        if bundle.kernel_dot(cand.mask, vec):
-            return CheckResult(Verdict.FAIL, witness=("kernel-vector", idx))
-    return CheckResult(Verdict.PASS)
+    """Characteristic vector is orthogonal to ker(A); a failure names the
+    first kernel_int() vector it is not orthogonal to."""
+    miss = _first_residual(cand, bundle)
+    if miss is None:
+        return CheckResult(Verdict.PASS)
+    return CheckResult(Verdict.FAIL, witness=("kernel-vector", miss[0]))
 
 
-def _disjoint_targets(cand: CLCandidate) -> tuple[Fraction, Fraction]:
-    p = cand.ctx.params
-    coeff = q_disjoint_coefficient(p)
-    x = cand.x
-    return (x - 1) * coeff, x * coeff
+def _first_tally_miss(
+    cand: CLCandidate, rows, targets_in, targets_out, scale=1
+) -> tuple[int, int, int] | None:
+    """First (c, j, count) in c-major order, count = |rows[j][c] & family|,
+    where scale * count differs from targets_in[j] (c a member) or
+    targets_out[j] (c not a member); None when every count matches."""
+    mask = cand.mask
+    for c in range(len(cand.ctx.kspaces)):
+        targets = targets_in if (mask >> c) & 1 else targets_out
+        for j, row in enumerate(rows):
+            count = (row[c] & mask).bit_count()
+            if scale * count != targets[j]:
+                return c, j, count
+    return None
 
 
 def check_disjointness_counts(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Every k-space pi sees exactly (x - chi(pi)) * q^(k^2+k) * qbinom(n-k-1,k)
     members disjoint from it."""
-    masks = bundle.disjointness_masks()
-    t_in, t_out = _disjoint_targets(cand)
-    for c in range(len(cand.ctx.kspaces)):
-        count = (masks[c] & cand.mask).bit_count()
-        target = t_in if cand.chi(c) else t_out
-        if count != target:
-            return CheckResult(
-                Verdict.FAIL, witness=("kspace", c, "expected", target, "got", count)
-            )
-    return CheckResult(Verdict.PASS)
+    coeff = q_disjoint_coefficient(cand.ctx.params)
+    t_in, t_out = (cand.x - 1) * coeff, cand.x * coeff
+    miss = _first_tally_miss(cand, (bundle.disjointness_masks(),), (t_in,), (t_out,))
+    if miss is None:
+        return CheckResult(Verdict.PASS)
+    c, _, count = miss
+    target = t_in if cand.chi(c) else t_out
+    return CheckResult(Verdict.FAIL, witness=("kspace", c, "expected", target, "got", count))
 
 
 def check_kneser_eigenvector(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
-    """T*chi - |L|*j is an eigenvector of the disjointness matrix for the
-    first nontrivial eigenvalue (closed-form row evaluation)."""
+    """T*chi - |L|*j is an eigenvector of the disjointness matrix K for the
+    first nontrivial eigenvalue lam (T the number of k-spaces).
+
+    K is regular of valence deg, so for w = T*chi - |L|*j and a_c = |K_c & L|
+    the product (K w)_c is T*a_c - |L|*deg exactly: K w = lam w is one
+    integer target for T*a_c on members and one on non-members."""
     p = cand.ctx.params
     total = len(cand.ctx.kspaces)
     size = len(cand)
-    deg = valence(p.k + 1, p)
-    lam = eigenvalue_p(1, p.k + 1, p)
     if size in (0, total):
         return CheckResult(Verdict.PASS, note="zero vector (constant family)")
-    masks = bundle.disjointness_masks()
-    for c in range(total):
-        a_c = (masks[c] & cand.mask).bit_count()
-        lhs = total * a_c - size * deg
-        rhs = lam * (total * cand.chi(c) - size)
-        if lhs != rhs:
-            return CheckResult(Verdict.FAIL, witness=("kspace", c))
-    return CheckResult(Verdict.PASS)
+    deg = valence(p.k + 1, p)
+    lam = eigenvalue_p(1, p.k + 1, p)
+    t_in, t_out = lam * (total - size) + size * deg, size * (deg - lam)
+    miss = _first_tally_miss(
+        cand, (bundle.disjointness_masks(),), (t_in,), (t_out,), scale=total
+    )
+    if miss is None:
+        return CheckResult(Verdict.PASS)
+    return CheckResult(Verdict.FAIL, witness=("kspace", miss[0]))
 
 
 def check_eigenspace_split(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """chi decomposes over the first two common eigenspaces: its projection
-    off the all-one line is annihilated by (K - P_{1,k+1} I), checked by a
-    literal exact matrix-vector product."""
-    total = len(cand.ctx.kspaces)
-    size = len(cand)
-    w = [total * cand.chi(c) - size for c in range(total)]
-    if not any(w):
-        return CheckResult(Verdict.PASS, note="zero vector (constant family)")
-    ok = v1_eigen_check(w, cand.ctx)
-    if ok:
-        return CheckResult(Verdict.PASS)
-    return CheckResult(Verdict.FAIL)
+    w = T*chi - |L|*j off the all-one line is annihilated by (K - lam I).
+    On span{chi, j} that is the equation of check_kneser_eigenvector, whose
+    verdict and note this reports without a witness."""
+    res = check_kneser_eigenvector(cand, bundle)
+    return CheckResult(res.verdict, note=res.note)
 
 
 def intersection_distribution(cand: CLCandidate, pi: int) -> tuple[int, ...]:
@@ -332,19 +350,15 @@ def check_meet_distribution(cand: CLCandidate, bundle: SchemeBundle) -> CheckRes
     in dimension k-i matches the two-case closed form."""
     p = cand.ctx.params
     x = cand.x
-    rel = bundle.relation_masks()
     targets_in = [meet_count_target(i, p, x, member=True) for i in range(1, p.k + 2)]
     targets_out = [meet_count_target(i, p, x, member=False) for i in range(1, p.k + 2)]
-    for c in range(len(cand.ctx.kspaces)):
-        targets = targets_in if cand.chi(c) else targets_out
-        for i in range(1, p.k + 2):
-            count = (rel[i][c] & cand.mask).bit_count()
-            if count != targets[i - 1]:
-                return CheckResult(
-                    Verdict.FAIL,
-                    witness=("kspace", c, "i", i, "expected", targets[i - 1], "got", count),
-                )
-    return CheckResult(Verdict.PASS)
+    miss = _first_tally_miss(cand, bundle.relation_masks()[1:], targets_in, targets_out)
+    if miss is None:
+        return CheckResult(Verdict.PASS)
+    c, j, count = miss
+    target = (targets_in if cand.chi(c) else targets_out)[j]
+    witness = ("kspace", c, "i", j + 1, "expected", target, "got", count)
+    return CheckResult(Verdict.FAIL, witness=witness)
 
 
 def check_switching_pairs(cand: CLCandidate, pairs) -> CheckResult:
@@ -392,12 +406,9 @@ def _spread_meet_constant(cand: CLCandidate, spreads, masks) -> tuple[bool, obje
 def check_switching_sets(
     cand: CLCandidate, bundle: SchemeBundle, config: BatteryConfig
 ) -> CheckResult:
-    """Switching-set balance.  With explicit pairs, checks exactly those.
-    Otherwise generates all spread-difference pairs inside (2k+1)-subspaces
-    (the span-sized case uses the global spread list) and checks them via
-    constancy of the spread meets, which is the same condition."""
-    if config.switching_pairs is not None:
-        return check_switching_pairs(cand, config.switching_pairs)
+    """Switching-set balance over all spread-difference pairs inside
+    (2k+1)-subspaces (the span-sized case uses the global spread list),
+    checked via constancy of the spread meets, which is the same condition."""
     ctx = cand.ctx
     p = ctx.params
     if p.n == 2 * p.k + 1:
@@ -411,9 +422,6 @@ def check_switching_sets(
             return CheckResult(Verdict.PASS, note=f"{len(spreads)} spreads, all pairs")
         return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(spreads)} sampled spreads")
     sigmas = ctx.subspaces_of_dim(2 * p.k + 1)
-    capped = config.max_sigma is not None and config.max_sigma < len(sigmas)
-    if capped:
-        sigmas = sigmas[: config.max_sigma]
     checked = 0
     try:
         for sigma in sigmas:
@@ -429,10 +437,9 @@ def check_switching_sets(
         return CheckResult(Verdict.SKIPPED, note=str(exc))
     if checked == 0:
         return CheckResult(Verdict.SKIPPED, note="no switching pairs available")
-    note = f"spread pairs inside {checked} span-dimensional subspaces"
-    if capped:
-        return CheckResult(Verdict.SAMPLED_PASS, note=note + " (capped)")
-    return CheckResult(Verdict.PASS, note=note)
+    return CheckResult(
+        Verdict.PASS, note=f"spread pairs inside {checked} span-dimensional subspaces"
+    )
 
 
 def check_spread_intersections(
@@ -521,7 +528,8 @@ def run_battery(
     bundle: SchemeBundle,
     config: BatteryConfig | None = None,
 ) -> BatteryReport:
-    """Run every enabled definition check and assert verdict agreement."""
+    """Run every enabled definition check; raise BatteryDisagreement unless
+    the conclusive verdicts agree."""
     if config is None:
         config = BatteryConfig()
     report = BatteryReport(x=cand.x, size=len(cand))

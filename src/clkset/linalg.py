@@ -10,8 +10,9 @@ on the pivots are combined by the Chinese remainder theorem (Dixon, Numer.
 Math. 40, 1982).  A modular result never decides anything until that check
 passes.
 
-`ExactMatrix` keeps a dense `Fraction` view for the callers that read rows:
-row-space residuals, kernel and eigenspace bases.
+`ExactMatrix` keeps a dense `Fraction` view for the eigenspace work of
+`scheme`: rank, kernel and eigenspace bases, row-space tests of whole rows.
+The battery and the search read `rref_int`'s integer form directly.
 """
 
 from __future__ import annotations

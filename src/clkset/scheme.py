@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import GeometryCtx, GeometrySizeError
-from .linalg import ExactMatrix, FreeColumn, fraction_rows, rref_int, scale_to_int
+from .linalg import ExactMatrix, FreeColumn, rref_int, scale_to_int
 from .qformulas import eigenvalue_p, qbinom
 
 
@@ -201,13 +201,12 @@ def full_spectrum_check(ctx: GeometryCtx) -> SpectrumCertificate:
 
 class SchemeBundle:
     """Per-geometry store of the scheme artifacts the battery and the search
-    need: incidence RREF, its free columns over the integers, spreads."""
+    need: the incidence RREF in integer form, its kernel, spreads."""
 
     def __init__(self, ctx: GeometryCtx, cache=None):
         self.ctx = ctx
         self.cache = cache
-        self._rref: tuple[list[list[Fraction]], tuple[int, ...]] | None = None
-        self._free_columns: list[FreeColumn] | None = None
+        self._rref: tuple[tuple[int, ...], list[FreeColumn]] | None = None
         self._kernel_int: list[tuple[int, ...]] | None = None
         self._spreads: list[tuple[int, ...]] | None = None
         self._spreads_exhaustive: bool | None = None
@@ -217,21 +216,14 @@ class SchemeBundle:
     def params(self):
         return self.ctx.params
 
-    def incidence_rref(self) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-        """(RREF rows as Fractions, pivot columns) of the incidence matrix,
-        from the certified integer elimination of linalg.rref_int."""
+    def incidence_rref(self) -> tuple[tuple[int, ...], list[FreeColumn]]:
+        """(pivot columns, free columns) of the incidence matrix's RREF, from
+        the certified integer elimination of linalg.rref_int: for each free
+        column f, (f, L, ((pivot column, L * R[r][f]), ...)) with L the lcm
+        of the column's denominators and only nonzero coefficients listed."""
         if self._rref is None:
-            rows = incidence_rows(self.ctx)
-            pivots, self._free_columns = rref_int(rows, len(self.ctx.kspaces))
-            self._rref = (fraction_rows(pivots, self._free_columns), pivots)
+            self._rref = rref_int(incidence_rows(self.ctx), len(self.ctx.kspaces))
         return self._rref
-
-    def free_columns(self) -> list[FreeColumn]:
-        """The RREF's free columns over the integers: for each free column f,
-        (f, L, ((pivot column, L * R[r][f]), ...)) with L the lcm of the
-        column's denominators and only nonzero coefficients listed."""
-        self.incidence_rref()
-        return self._free_columns
 
     def kernel_int(self) -> list[tuple[int, ...]]:
         """Primitive integer kernel basis of the incidence matrix, one vector
@@ -239,7 +231,8 @@ class SchemeBundle:
         if self._kernel_int is None:
             total = len(self.ctx.kspaces)
             basis = []
-            for f, scale, supp in self.free_columns():
+            _, free = self.incidence_rref()
+            for f, scale, supp in free:
                 v = [0] * total
                 v[f] = scale
                 for pcol, coef in supp:
@@ -297,15 +290,6 @@ class SchemeBundle:
                 masks.append(m)
             self._spread_masks = masks
         return self._spread_masks
-
-    def kernel_dot(self, family_mask: int, vec: tuple[int, ...]) -> int:
-        acc = 0
-        m = family_mask
-        while m:
-            low = m & -m
-            acc += vec[low.bit_length() - 1]
-            m ^= low
-        return acc
 
 
 def bundle_for(ctx: GeometryCtx, cache=None) -> SchemeBundle:

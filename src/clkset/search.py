@@ -13,6 +13,7 @@ returned family is battery-verified before it is reported.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,13 +133,13 @@ class _PropagateEngine:
             [_mask_ids(rel_masks[i][c]) for c in range(self.total)]
             for i in range(1, p.k + 2)
         ]
-        _, pivots = bundle.incidence_rref()
+        pivots, free = bundle.incidence_rref()
         self.pivots = list(pivots)
         self.free_cols = []
         self.f_scale: dict[int, int] = {}
         self.f_supp: dict[int, tuple[tuple[int, int], ...]] = {}
         self.pivot_supp: dict[int, list[tuple[int, int]]] = {c: [] for c in pivots}
-        for f, scale, supp in bundle.free_columns():
+        for f, scale, supp in free:
             self.free_cols.append(f)
             self.f_scale[f] = scale
             self.f_supp[f] = supp
@@ -517,6 +518,8 @@ def search_all(
     """The complete list of families with parameter x passing the battery."""
     if config is None:
         config = SearchConfig()
+    if config.threads < 1:
+        raise ValueError(f"need at least one thread, got {config.threads}")
     if bundle is None:
         bundle = bundle_for(ctx)
     total = len(ctx.kspaces)
@@ -545,7 +548,9 @@ def search_all(
             ]
             fams = []
             stats = SearchStats()
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            # every worker is forked up front: never more than CPUs or jobs
+            workers = min(config.threads, os.cpu_count() or 1, len(prefixes))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for sub_fams, sub_stats in pool.map(_solve_worker, jobs):
                     fams.extend(sub_fams)
                     stats = stats.merged(sub_stats)

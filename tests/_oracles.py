@@ -8,6 +8,10 @@ from fractions import Fraction
 from math import lcm
 
 from clkset import GeometryCtx
+from clkset.families import Verdict
+from clkset.linalg import fraction_rows
+from clkset.qformulas import eigenvalue_p, meet_count_target, valence
+from clkset.scheme import q_disjoint_coefficient, v1_eigen_check
 
 
 def count_subspaces_bruteforce(a: int, b: int, q: int) -> int:
@@ -186,3 +190,104 @@ def free_columns_from_rref(rows, pivots, ncols: int):
         )
         out.append((f, scale, supp))
     return out
+
+
+# -- the battery's former linear, counting and spectral checks ----------------
+# References for the integer scans of clkset.families: each returns the
+# (verdict, witness, note) triple of the check it replaced.
+
+
+def rowspace_check_fraction(cand, bundle):
+    """Row-reduce chi as Fractions against the RREF rows; the first nonzero
+    residual column is the witness."""
+    pivots, free = bundle.incidence_rref()
+    rows = fraction_rows(pivots, free)
+    res = [Fraction(cand.chi(c)) for c in range(len(cand.ctx.kspaces))]
+    for r, p in enumerate(pivots):
+        f = res[p]
+        if f:
+            row = rows[r]
+            res = [a - f * b for a, b in zip(res, row)]
+    for c, v in enumerate(res):
+        if v:
+            return Verdict.FAIL, ("residual-at", c), ""
+    return Verdict.PASS, None, ""
+
+
+def kernel_check_bitwalk(cand, bundle):
+    """Dot chi with every integer kernel vector by walking the family's bits."""
+    for idx, vec in enumerate(bundle.kernel_int()):
+        acc = 0
+        m = cand.mask
+        while m:
+            low = m & -m
+            acc += vec[low.bit_length() - 1]
+            m ^= low
+        if acc:
+            return Verdict.FAIL, ("kernel-vector", idx), ""
+    return Verdict.PASS, None, ""
+
+
+def disjointness_check_popcount(cand, bundle):
+    coeff = q_disjoint_coefficient(cand.ctx.params)
+    t_in, t_out = (cand.x - 1) * coeff, cand.x * coeff
+    masks = bundle.disjointness_masks()
+    for c in range(len(cand.ctx.kspaces)):
+        count = (masks[c] & cand.mask).bit_count()
+        target = t_in if cand.chi(c) else t_out
+        if count != target:
+            return Verdict.FAIL, ("kspace", c, "expected", target, "got", count), ""
+    return Verdict.PASS, None, ""
+
+
+def kneser_check_popcount(cand, bundle):
+    p = cand.ctx.params
+    total = len(cand.ctx.kspaces)
+    size = len(cand)
+    deg = valence(p.k + 1, p)
+    lam = eigenvalue_p(1, p.k + 1, p)
+    if size in (0, total):
+        return Verdict.PASS, None, "zero vector (constant family)"
+    masks = bundle.disjointness_masks()
+    for c in range(total):
+        a_c = (masks[c] & cand.mask).bit_count()
+        if total * a_c - size * deg != lam * (total * cand.chi(c) - size):
+            return Verdict.FAIL, ("kspace", c), ""
+    return Verdict.PASS, None, ""
+
+
+def eigenspace_check_literal(cand, bundle):
+    """K w = P_{1,k+1} w through v1_eigen_check, which sums w over every set
+    bit of every disjointness mask."""
+    total = len(cand.ctx.kspaces)
+    w = [total * cand.chi(c) - len(cand) for c in range(total)]
+    if not any(w):
+        return Verdict.PASS, None, "zero vector (constant family)"
+    if v1_eigen_check(w, cand.ctx):
+        return Verdict.PASS, None, ""
+    return Verdict.FAIL, None, ""
+
+
+def meet_check_popcount(cand, bundle):
+    p = cand.ctx.params
+    rel = bundle.relation_masks()
+    targets_in = [meet_count_target(i, p, cand.x, member=True) for i in range(1, p.k + 2)]
+    targets_out = [meet_count_target(i, p, cand.x, member=False) for i in range(1, p.k + 2)]
+    for c in range(len(cand.ctx.kspaces)):
+        targets = targets_in if cand.chi(c) else targets_out
+        for i in range(1, p.k + 2):
+            count = (rel[i][c] & cand.mask).bit_count()
+            if count != targets[i - 1]:
+                witness = ("kspace", c, "i", i, "expected", targets[i - 1], "got", count)
+                return Verdict.FAIL, witness, ""
+    return Verdict.PASS, None, ""
+
+
+BATTERY_ORACLES = {
+    "rowspace": rowspace_check_fraction,
+    "kernel": kernel_check_bitwalk,
+    "disjointness-counts": disjointness_check_popcount,
+    "kneser-eigenvector": kneser_check_popcount,
+    "eigenspace-split": eigenspace_check_literal,
+    "meet-distribution": meet_check_popcount,
+}

@@ -7,11 +7,13 @@ from clkset import (
     BatteryConfig,
     FamilyError,
     Verdict,
+    bundle_for,
     complement,
     difference,
     disjoint_union,
     family,
     full_family,
+    geometry,
     hyperplane_family,
     intersection_distribution,
     point_flag_identity,
@@ -19,6 +21,7 @@ from clkset import (
     run_battery,
 )
 from clkset.families import (
+    _CHECKS,
     check_disjointness_counts,
     check_kernel_orthogonality,
     check_meet_distribution,
@@ -26,6 +29,7 @@ from clkset.families import (
     check_switching_pairs,
 )
 from clkset.qformulas import hyperplane_family_parameter, parameter_range
+from _oracles import BATTERY_ORACLES
 
 
 class TestConstructors:
@@ -314,3 +318,53 @@ class TestBattery:
         lines = report.lines()
         assert lines[0].startswith("x = 1")
         assert any("spread-intersections: pass" in line for line in lines)
+
+
+def _oracle_roster(ctx, rng):
+    """Pencils, hyperplane families, their complements, the empty and full
+    families, one-swap near-pencils and random families of several sizes."""
+    total = len(ctx.kspaces)
+    roster = [family(ctx, []), full_family(ctx)]
+    for point in (0, len(ctx.points) - 1):
+        pen = point_pencil_family(ctx, point)
+        out = [c for c in range(total) if c not in pen]
+        roster += [pen, complement(pen)]
+        for _ in range(2):
+            drop, add = rng.choice(pen.ids), rng.choice(out)
+            roster.append(family(ctx, [c for c in pen.ids if c != drop] + [add]))
+    for hyp in ctx.hyperplanes()[:2]:
+        fam = hyperplane_family(ctx, hyp)
+        roster += [fam, complement(fam)]
+    size = len(roster[2])
+    for n_members in (1, size, size + 1, total // 2):
+        roster.append(family(ctx, rng.sample(range(total), n_members)))
+    return roster
+
+
+class TestIntegerChecksMatchOracles:
+    """The integer scans give the (verdict, witness, note) of the Fraction
+    residual, the kernel bit walk, the literal K w product and the earlier
+    popcount loops, witness types included (the CLI prints their repr).
+    PG(3,4) is the one geometry here whose RREF has denominators (L_f = 2)."""
+
+    @pytest.mark.parametrize(
+        "n,k,q", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (4, 1, 2), (4, 2, 2), (5, 1, 2)]
+    )
+    def test_roster(self, n, k, q):
+        ctx = geometry(n, k, q)
+        bundle = bundle_for(ctx)
+        rng = random.Random(n * 100 + k * 10 + q)
+        verdicts = set()
+        for cand in _oracle_roster(ctx, rng):
+            for name, oracle in BATTERY_ORACLES.items():
+                res = _CHECKS[name](cand, bundle, BatteryConfig())
+                verdict, witness, note = oracle(cand, bundle)
+                got = (res.verdict, repr(res.witness), res.note)
+                assert got == (verdict, repr(witness), note), (name, cand.ids[:8])
+                verdicts.add((name, verdict))
+        # both outcomes are exercised for every check that can fail here:
+        # without disjoint pairs the three disjointness checks hold vacuously
+        names = set(BATTERY_ORACLES)
+        if n < 2 * k + 1:
+            names -= {"disjointness-counts", "kneser-eigenvector", "eigenspace-split"}
+        assert {(name, v) for name in names for v in (Verdict.PASS, Verdict.FAIL)} <= verdicts

@@ -289,6 +289,12 @@ class TestCLI:
         assert code == 0
         assert "0 families" in capsys.readouterr().out
 
+    def test_search_refuses_zero_threads(self, capsys):
+        assert main(
+            ["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1", "--threads", "0"]
+        ) == 2
+        assert "thread" in capsys.readouterr().err
+
     def test_search_refuses_large_geometry(self, capsys):
         assert main(
             ["search", "--n", "9", "--q", "5", "--k", "2", "--x", "1"]

@@ -171,8 +171,8 @@ class TestBundle:
         ctx = geometry(n, k, q)
         bundle = SchemeBundle(ctx)
         rows, pivots = rref_fraction(incidence_rows(ctx))
-        assert bundle.incidence_rref() == (rows, pivots)
-        assert bundle.free_columns() == free_columns_from_rref(rows, pivots, len(ctx.kspaces))
+        free = free_columns_from_rref(rows, pivots, len(ctx.kspaces))
+        assert bundle.incidence_rref() == (pivots, free)
 
     def test_tampered_incidence_certificate_raises(self, pg33):
         rows = incidence_rows(pg33)

@@ -103,6 +103,45 @@ class TestSearchPG32:
         threaded = search_all(pg32, 1, SearchConfig(threads=2), pg32_bundle)
         assert plain.families == threaded.families
 
+    def test_threads_below_one_refused(self, pg32, pg32_bundle):
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="thread"):
+                search_all(pg32, 1, SearchConfig(threads=threads), pg32_bundle)
+
+    def test_pool_size_clamped(self, pg32, pg32_bundle, monkeypatch):
+        """The pool never gets more workers than CPUs or root prefixes; a
+        stand-in pool records its size and maps in this process."""
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        plain = search_all(pg32, 1, SearchConfig(), pg32_bundle).families
+        # PG(3,2) has 15 pivots, and root_prefixes(2T) splits at most 8 of them
+        for cpus, threads, workers in [
+            (2, 5000, 2),
+            (None, 5000, 1),
+            (10**6, 5000, 256),
+            (10**6, 3, 3),
+        ]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert search_all(pg32, 1, SearchConfig(threads=threads), pg32_bundle).families == plain
+            assert sizes.pop() == workers
+
     def test_window_below_one_is_vacuous(self, pg32, pg32_bundle):
         report = nonexistence_window(pg32, 0, 1, SearchConfig(), pg32_bundle)
         assert report.all_empty
