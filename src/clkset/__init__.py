@@ -20,7 +20,7 @@ from .families import (
 )
 from .geometry import GeometryCtx, GeometrySizeError, Subspace, geometry
 from .gf import FieldCtx, FieldReduction, field_ctx
-from .linalg import ExactMatrix
+from .linalg import first_residual, kernel_vectors, rref_int
 from .qformulas import (
     SchemeParams,
     count_disjoint,
@@ -42,12 +42,11 @@ from .qformulas import (
 )
 from .scheme import (
     SchemeBundle,
-    build_incidence,
     build_relation,
     bundle_for,
     disjointness_vector_identity,
-    in_rowspace,
-    kernel_basis,
+    full_spectrum_check,
+    incidence_rows,
     rowspace_equals_v0_v1,
     v1_eigen_check,
 )

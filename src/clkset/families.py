@@ -10,8 +10,8 @@ verdicts agree; a disagreement is a defect in this package, never a property
 of the input, and is raised loudly.
 
 The linear checks share one integer scan of the incidence RREF's free columns
-(`_first_residual`), the counting and spectral ones one popcount tally
-against member and non-member targets (`_first_tally_miss`).
+(`linalg.first_residual`), the counting and spectral ones one popcount tally
+against integer member and non-member targets (`_first_tally_miss`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import GeometryCtx, GeometrySizeError, Subspace
+from .geometry import GeometryCtx, GeometrySizeError, Subspace, mask_of
+from .linalg import first_residual
 from .qformulas import (
     eigenvalue_p,
     meet_count_target,
@@ -54,10 +55,7 @@ class CLCandidate:
             raise FamilyError("duplicate k-space ids")
         self.ctx = ctx
         self.ids = ids
-        mask = 0
-        for c in ids:
-            mask |= 1 << c
-        self.mask = mask
+        self.mask = mask_of(ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -87,6 +85,13 @@ class CLCandidate:
 
     def chi(self, c: int) -> int:
         return (self.mask >> c) & 1
+
+    def vector(self) -> list[int]:
+        """The characteristic vector, one 0/1 entry per k-space id."""
+        v = [0] * len(self.ctx.kspaces)
+        for c in self.ids:
+            v[c] = 1
+        return v
 
 
 def family(ctx: GeometryCtx, ids) -> CLCandidate:
@@ -227,13 +232,7 @@ def _spread_source(bundle: SchemeBundle, config: BatteryConfig):
     """(spread list, their id-masks, exhaustive?) per battery config."""
     if config.spread_mode == "reduced":
         spreads = bundle.ctx.permuted_spread_sample()
-        masks = []
-        for s in spreads:
-            m = 0
-            for c in s:
-                m |= 1 << c
-            masks.append(m)
-        return spreads, masks, False
+        return spreads, [mask_of(s) for s in spreads], False
     spreads, exhaustive = bundle.spreads()
     return spreads, bundle.spread_masks(), exhaustive
 
@@ -241,27 +240,10 @@ def _spread_source(bundle: SchemeBundle, config: BatteryConfig):
 # -- individual checks -------------------------------------------------------
 
 
-def _first_residual(cand: CLCandidate, bundle: SchemeBundle) -> tuple[int, int] | None:
-    """(position, column) of the first free column f of the incidence RREF
-    with L_f * chi_f != sum(coef * chi_pivot), or None when there is none.
-
-    Row-reducing chi against the RREF leaves 0 at every pivot column and
-    chi_f - sum(R[r][f] * chi_pivot(r)) at free column f: the same integer
-    divided by L_f.  Its dot product with the f-th primitive kernel vector
-    is that integer itself, so one scan decides both linear checks."""
-    mask = cand.mask
-    _, free = bundle.incidence_rref()
-    for idx, (f, scale, supp) in enumerate(free):
-        combo = sum(coef for pcol, coef in supp if (mask >> pcol) & 1)
-        if scale * ((mask >> f) & 1) != combo:
-            return idx, f
-    return None
-
-
 def check_rowspace_membership(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Characteristic vector lies in the row space of the incidence matrix;
     a failure names the first column with a nonzero residual."""
-    miss = _first_residual(cand, bundle)
+    miss = first_residual(bundle.incidence_rref()[1], cand.vector())
     if miss is None:
         return CheckResult(Verdict.PASS)
     return CheckResult(Verdict.FAIL, witness=("residual-at", miss[1]))
@@ -270,7 +252,7 @@ def check_rowspace_membership(cand: CLCandidate, bundle: SchemeBundle) -> CheckR
 def check_kernel_orthogonality(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Characteristic vector is orthogonal to ker(A); a failure names the
     first kernel_int() vector it is not orthogonal to."""
-    miss = _first_residual(cand, bundle)
+    miss = first_residual(bundle.incidence_rref()[1], cand.vector())
     if miss is None:
         return CheckResult(Verdict.PASS)
     return CheckResult(Verdict.FAIL, witness=("kernel-vector", miss[0]))
@@ -281,7 +263,9 @@ def _first_tally_miss(
 ) -> tuple[int, int, int] | None:
     """First (c, j, count) in c-major order, count = |rows[j][c] & family|,
     where scale * count differs from targets_in[j] (c a member) or
-    targets_out[j] (c not a member); None when every count matches."""
+    targets_out[j] (c not a member); None when every count matches.  The
+    targets are ints, or None for one that is not integral and so misses at
+    the first k-space."""
     mask = cand.mask
     for c in range(len(cand.ctx.kspaces)):
         targets = targets_in if (mask >> c) & 1 else targets_out
@@ -292,12 +276,19 @@ def _first_tally_miss(
     return None
 
 
+def _integral(targets) -> list[int | None]:
+    """Rational targets as ints for _first_tally_miss, None where not integral."""
+    return [int(t) if t.denominator == 1 else None for t in targets]
+
+
 def check_disjointness_counts(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Every k-space pi sees exactly (x - chi(pi)) * q^(k^2+k) * qbinom(n-k-1,k)
     members disjoint from it."""
     coeff = q_disjoint_coefficient(cand.ctx.params)
     t_in, t_out = (cand.x - 1) * coeff, cand.x * coeff
-    miss = _first_tally_miss(cand, (bundle.disjointness_masks(),), (t_in,), (t_out,))
+    miss = _first_tally_miss(
+        cand, (bundle.disjointness_masks(),), _integral((t_in,)), _integral((t_out,))
+    )
     if miss is None:
         return CheckResult(Verdict.PASS)
     c, _, count = miss
@@ -352,7 +343,9 @@ def check_meet_distribution(cand: CLCandidate, bundle: SchemeBundle) -> CheckRes
     x = cand.x
     targets_in = [meet_count_target(i, p, x, member=True) for i in range(1, p.k + 2)]
     targets_out = [meet_count_target(i, p, x, member=False) for i in range(1, p.k + 2)]
-    miss = _first_tally_miss(cand, bundle.relation_masks()[1:], targets_in, targets_out)
+    miss = _first_tally_miss(
+        cand, bundle.relation_masks()[1:], _integral(targets_in), _integral(targets_out)
+    )
     if miss is None:
         return CheckResult(Verdict.PASS)
     c, j, count = miss
@@ -373,13 +366,7 @@ def check_switching_pairs(cand: CLCandidate, pairs) -> CheckResult:
                 "supplied pair is not a pair of conjugate switching sets",
                 witness=(tuple(r1), tuple(r2)),
             )
-        m1 = 0
-        for c in r1:
-            m1 |= 1 << c
-        m2 = 0
-        for c in r2:
-            m2 |= 1 << c
-        if (m1 & cand.mask).bit_count() != (m2 & cand.mask).bit_count():
+        if (mask_of(r1) & cand.mask).bit_count() != (mask_of(r2) & cand.mask).bit_count():
             return CheckResult(Verdict.FAIL, witness=(tuple(r1), tuple(r2)))
     return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(pairs)} supplied pairs")
 
@@ -459,11 +446,12 @@ def check_spread_intersections(
             witness=("non-integer parameter", x),
             note="spread meets are integers; non-integer x is impossible",
         )
+    target = int(x)
     for idx, m in enumerate(masks):
         meet = (m & cand.mask).bit_count()
-        if meet != x:
+        if meet != target:
             return CheckResult(
-                Verdict.FAIL, witness=("spread", idx, "meet", meet, "expected", int(x))
+                Verdict.FAIL, witness=("spread", idx, "meet", meet, "expected", target)
             )
     if exhaustive:
         return CheckResult(Verdict.PASS, note=f"all {len(spreads)} spreads")
@@ -482,9 +470,7 @@ def point_flag_identity(cand: CLCandidate, point: int, tau: Subspace) -> bool:
     if not (tmask >> point) & 1:
         raise ValueError("point does not lie in tau")
     q, n, k = p.q, p.n, p.k
-    in_tau = 0
-    for c in ctx.all_in(tau):
-        in_tau |= 1 << c
+    in_tau = mask_of(ctx.all_in(tau))
     pencil_mask = ctx.pencil_masks[point]
     a = (pencil_mask & cand.mask).bit_count()
     b = (in_tau & cand.mask).bit_count()

@@ -21,6 +21,24 @@ DEFAULT_SPREAD_POINT_CAP = 40
 DEFAULT_PERMUTATION_CAP = 5040
 
 
+def mask_of(ids) -> int:
+    """Bitmask with bit c set for every id c."""
+    mask = 0
+    for c in ids:
+        mask |= 1 << c
+    return mask
+
+
+def ids_of(mask: int) -> tuple[int, ...]:
+    """The set bits of a bitmask, in increasing order."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(ids)
+
+
 def rref(rows, field: FieldCtx) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form over GF(q); zero rows dropped, pivots 1."""
     work = [list(r) for r in rows]
@@ -142,12 +160,10 @@ class GeometryCtx:
         pencil_masks = [0] * len(self.points)
         for idx, sub in enumerate(self.kspaces):
             ids = self._span_point_ids(sub.basis)
-            mask = 0
             for pid in ids:
-                mask |= 1 << pid
                 pencil_masks[pid] |= 1 << idx
             self.kspace_points.append(ids)
-            self.kspace_masks.append(mask)
+            self.kspace_masks.append(mask_of(ids))
         self.pencil_masks = pencil_masks
         self.full_kspace_mask = (1 << total) - 1
         self.full_point_mask = (1 << len(self.points)) - 1
@@ -205,10 +221,7 @@ class GeometryCtx:
         if sub.dim == self.params.k and sub.basis in self.kspace_id:
             return self.kspace_masks[self.kspace_id[sub.basis]]
         if sub.basis not in self._mask_cache:
-            mask = 0
-            for pid in self._span_point_ids(sub.basis):
-                mask |= 1 << pid
-            self._mask_cache[sub.basis] = mask
+            self._mask_cache[sub.basis] = mask_of(self._span_point_ids(sub.basis))
         return self._mask_cache[sub.basis]
 
     # -- incidence queries -------------------------------------------------
@@ -245,7 +258,7 @@ class GeometryCtx:
                     star = self.full_kspace_mask
                     for row in sub.basis:
                         star &= self.pencil_masks[self.point_id[row]]
-                    for c in self._ids_from_mask(star):
+                    for c in ids_of(star):
                         level[c] |= star
                 at_least.append(level)
             at_least.append([1 << c for c in range(total)])
@@ -262,17 +275,9 @@ class GeometryCtx:
     def disjointness_masks(self) -> list[int]:
         return self.relation_masks()[self.params.k + 1]
 
-    def _ids_from_mask(self, mask: int) -> tuple[int, ...]:
-        ids = []
-        while mask:
-            low = mask & -mask
-            ids.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(ids)
-
     def pencil(self, point: int) -> tuple[int, ...]:
         """Ids of all k-spaces through a point."""
-        return self._ids_from_mask(self.pencil_masks[point])
+        return ids_of(self.pencil_masks[point])
 
     def all_in(self, tau: Subspace) -> tuple[int, ...]:
         """Ids of all k-spaces contained in tau."""
@@ -427,13 +432,9 @@ class GeometryCtx:
 
     def sigma_spread_masks(self, sigma: Subspace) -> list[int]:
         if sigma.basis not in self._sub_spread_masks:
-            masks = []
-            for s in self.spreads_within(sigma):
-                m = 0
-                for c in s:
-                    m |= 1 << c
-                masks.append(m)
-            self._sub_spread_masks[sigma.basis] = masks
+            self._sub_spread_masks[sigma.basis] = [
+                mask_of(s) for s in self.spreads_within(sigma)
+            ]
         return self._sub_spread_masks[sigma.basis]
 
     # -- collineations from coordinate permutations --------------------------

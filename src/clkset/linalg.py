@@ -10,14 +10,14 @@ on the pivots are combined by the Chinese remainder theorem (Dixon, Numer.
 Math. 40, 1982).  A modular result never decides anything until that check
 passes.
 
-`ExactMatrix` keeps a dense `Fraction` view for the eigenspace work of
-`scheme`: rank, kernel and eigenspace bases, row-space tests of whole rows.
-The battery and the search read `rref_int`'s integer form directly.
+Everything else reads `rref_int`'s integer form `(pivots, free columns)`:
+the rank is the number of pivots, `kernel_vectors` gives a primitive integer
+kernel basis, and `first_residual` decides row-space membership of an
+integer vector.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 # (f, L, ((pivot column, L * R[r][f]), ...)) for one non-pivot column f of the
@@ -215,152 +215,28 @@ def rref_int(rows, ncols: int) -> tuple[tuple[int, ...], list[FreeColumn]]:
     raise CertificateError("ran out of 61-bit primes")
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def fraction_rows(pivots: tuple[int, ...], free_columns: list[FreeColumn]) -> list[list[Fraction]]:
-    """The RREF rows as Fractions, from rref_int's integer form."""
-    ncols = len(pivots) + len(free_columns)
-    rows = [[_ZERO] * ncols for _ in pivots]
-    row_of = {pcol: r for r, pcol in enumerate(pivots)}
-    for r, pcol in enumerate(pivots):
-        rows[r][pcol] = _ONE
+def kernel_vectors(free_columns: list[FreeColumn], ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the right kernel, one vector per free
+    column f of the RREF: L at f and minus each coefficient at its pivot."""
+    basis = []
     for f, scale, supp in free_columns:
+        v = [0] * ncols
+        v[f] = scale
         for pcol, coef in supp:
-            rows[row_of[pcol]][f] = Fraction(coef, scale)
-    return rows
+            v[pcol] = -coef
+        basis.append(tuple(v))
+    return basis
 
 
-def _frac_rows(rows) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in rows]
+def first_residual(free_columns: list[FreeColumn], v) -> tuple[int, int] | None:
+    """(position, column) of the first free column f of the RREF with
+    L * v[f] != sum(coef * v[pivot]), or None when v is in the row space.
 
-
-class ExactMatrix:
-    """Immutable-by-convention dense matrix of Fractions."""
-
-    def __init__(self, rows):
-        self.rows = _frac_rows(rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
-            raise ValueError("ragged rows")
-        self._rref: tuple[list[list[Fraction]], tuple[int, ...]] | None = None
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.nrows, self.ncols
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.rows[r][c]
-
-    def row(self, r: int) -> list[Fraction]:
-        return self.rows[r]
-
-    def matvec(self, v) -> list[Fraction]:
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [
-            sum((row[j] * v[j] for j in range(self.ncols) if v[j]), Fraction(0))
-            for row in self.rows
-        ]
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return ExactMatrix(
-            [
-                [sum((a * b for a, b in zip(row, col) if a and b), Fraction(0)) for col in cols]
-                for row in self.rows
-            ]
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def add_scaled_identity(self, scale) -> "ExactMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("square matrix required")
-        out = [row[:] for row in self.rows]
-        for i in range(self.nrows):
-            out[i][i] += scale
-        return ExactMatrix(out)
-
-    # -- elimination --------------------------------------------------------
-
-    def rref(self) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-        """Reduced row echelon form; returns (rows, pivot column indices).
-
-        Each row is scaled by the lcm of its denominators and the integer
-        matrix goes through rref_int.  Cached: the matrix must not be
-        mutated after the first call.
-        """
-        if self._rref is None:
-            int_rows = []
-            for row in self.rows:
-                scale = lcm(*(v.denominator for v in row))
-                int_rows.append([v.numerator * (scale // v.denominator) for v in row])
-            pivots, free_columns = rref_int(int_rows, self.ncols)
-            self._rref = (fraction_rows(pivots, free_columns), pivots)
-        return self._rref
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel_basis(self) -> list[list[Fraction]]:
-        """Basis of the right kernel, one vector per free column."""
-        rows, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -rows[r][f]
-            basis.append(v)
-        return basis
-
-    def reduce_against(self, v) -> list[Fraction]:
-        """Residual of v after elimination against this matrix's RREF rows."""
-        rows, pivots = self.rref()
-        res = [Fraction(x) for x in v]
-        for r, p in enumerate(pivots):
-            f = res[p]
-            if f:
-                row = rows[r]
-                res = [a - f * b for a, b in zip(res, row)]
-        return res
-
-    def in_rowspace(self, v) -> bool:
-        return not any(self.reduce_against(v))
-
-    def eigenspace_basis(self, eigenvalue) -> list[list[Fraction]]:
-        """Basis of ker(self - eigenvalue * I)."""
-        return self.add_scaled_identity(-Fraction(eigenvalue)).kernel_basis()
-
-
-def scale_to_int(v) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (sign kept)."""
-    lcm = 1
-    for x in v:
-        d = Fraction(x).denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(Fraction(x) * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def dot_int(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b) if x and y)
+    Row-reducing v against the RREF leaves 0 at every pivot column and that
+    integer divided by L at free column f; it is also the dot product of v
+    with the f-th vector of kernel_vectors, so one scan decides both row-space
+    membership and orthogonality to the kernel."""
+    for idx, (f, scale, supp) in enumerate(free_columns):
+        if scale * v[f] != sum(coef * v[pcol] for pcol, coef in supp):
+            return idx, f
+    return None

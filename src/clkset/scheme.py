@@ -1,18 +1,19 @@
 """Exact linear algebra over the k-space association scheme of PG(n,q).
 
 The incidence matrix A has one row per point and one column per k-space; the
-relation matrices A_i are the 0/1 matrices of "meet in dimension k-i".  All
-rank, kernel and eigenspace computations are exact (see linalg).
+relation matrices A_i are the 0/1 matrices of "meet in dimension k-i".  Both
+are integer rows, and every rank, kernel, eigenspace and row-space question is
+answered from the certified RREF of linalg.rref_int; nothing here uses
+fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .geometry import GeometryCtx, GeometrySizeError
-from .linalg import ExactMatrix, FreeColumn, rref_int, scale_to_int
-from .qformulas import eigenvalue_p, qbinom
+from .geometry import GeometryCtx, GeometrySizeError, ids_of, mask_of
+from .linalg import FreeColumn, kernel_vectors, rref_int
+from .qformulas import _require_span_scale, eigenvalue_p, qbinom
 
 
 def incidence_rows(ctx: GeometryCtx) -> list[list[int]]:
@@ -33,61 +34,31 @@ def incidence_rows(ctx: GeometryCtx) -> list[list[int]]:
     ]
 
 
-def build_incidence(ctx: GeometryCtx) -> ExactMatrix:
-    """Point-by-k-space incidence matrix, with its two regularity checks."""
-    return ExactMatrix(incidence_rows(ctx))
-
-
-def build_relation(i: int, ctx: GeometryCtx) -> ExactMatrix:
-    """Relation matrix A_i (symmetric 0/1; A_0 = I and sum_i A_i = J,
-    both checked when the underlying masks are built)."""
+def build_relation(i: int, ctx: GeometryCtx) -> list[list[int]]:
+    """Rows of the relation matrix A_i (symmetric 0/1; A_0 = I and
+    sum_i A_i = J, both checked when the underlying masks are built)."""
     if not 0 <= i <= ctx.params.k + 1:
         raise ValueError(f"relation index {i} out of range")
-    masks = ctx.relation_masks()[i]
     total = len(ctx.kspaces)
-    return ExactMatrix(
-        [[(masks[r] >> c) & 1 for c in range(total)] for r in range(total)]
-    )
+    return [[(m >> c) & 1 for c in range(total)] for m in ctx.relation_masks()[i]]
 
 
-def kernel_basis(a: ExactMatrix) -> list[list[Fraction]]:
-    """Basis of ker(A); every vector checked against A."""
-    basis = a.kernel_basis()
-    for v in basis:
-        if any(a.matvec(v)):
-            raise RuntimeError("kernel basis vector fails A v = 0")
-    if len(basis) != a.ncols - a.rank():
-        raise RuntimeError("kernel dimension differs from ncols - rank")
-    return basis
-
-
-def in_rowspace(v, a: ExactMatrix) -> bool:
-    """Membership of v in the row space of A, computed two ways (residual
-    against the RREF, and orthogonality to the kernel basis) that must
-    agree."""
-    by_residual = a.in_rowspace(v)
-    by_kernel = all(
-        sum((Fraction(x) * w for x, w in zip(v, kv) if x and w), Fraction(0)) == 0
-        for kv in a.kernel_basis()
-    )
-    if by_residual != by_kernel:
-        raise RuntimeError("row-space membership routes disagree")
-    return by_residual
-
-
-def disjointness_vector_identity(pi: int, ctx: GeometryCtx, a: ExactMatrix) -> bool:
+def disjointness_vector_identity(pi: int, ctx: GeometryCtx) -> bool:
     """Check that the characteristic vector of {k-spaces disjoint from pi}
-    differs from q^(k^2+k)*qbinom(n-k-1,k)*(qbinom(n,k)^{-1} j - chi_pi) by a
-    kernel vector of A, by direct multiplication."""
+    differs from coeff*(qbinom(n,k)^{-1} j - chi_pi) by a kernel vector of A,
+    coeff = q^(k^2+k)*qbinom(n-k-1,k).  Scaled by T = qbinom(n,k), the
+    difference meets row p of A in T*|pencil_p & disj_pi| - coeff*(r_p -
+    T*[p in pi]), r_p the pencil size of p; every row must give 0."""
     p = ctx.params
     coeff = q_disjoint_coefficient(p)
-    inv_total = Fraction(1, qbinom(p.n, p.k, p.q))
+    t = qbinom(p.n, p.k, p.q)
     disj = ctx.disjointness_masks()[pi]
-    v = [
-        Fraction((disj >> c) & 1) - coeff * (inv_total - (1 if c == pi else 0))
-        for c in range(len(ctx.kspaces))
-    ]
-    return not any(a.matvec(v))
+    in_pi = ctx.kspace_masks[pi]
+    return all(
+        t * (pencil & disj).bit_count()
+        == coeff * (pencil.bit_count() - t * ((in_pi >> pid) & 1))
+        for pid, pencil in enumerate(ctx.pencil_masks)
+    )
 
 
 def q_disjoint_coefficient(params) -> int:
@@ -98,7 +69,12 @@ def q_disjoint_coefficient(params) -> int:
     )
 
 
-def v1_eigen_check(v, ctx: GeometryCtx, kneser: ExactMatrix | None = None) -> bool:
+def _is_eigenvector(v, row_ids, lam) -> bool:
+    """M v == lam v, for the 0/1 matrix M whose row r has its ones at row_ids[r]."""
+    return all(sum(v[c] for c in ids) == lam * vr for ids, vr in zip(row_ids, v))
+
+
+def v1_eigen_check(v, ctx: GeometryCtx) -> bool:
     """True iff K v = P_{1,k+1} v exactly (K the disjointness matrix).
 
     Together with the eigenvalue-separation property this certifies that v
@@ -107,20 +83,19 @@ def v1_eigen_check(v, ctx: GeometryCtx, kneser: ExactMatrix | None = None) -> bo
     """
     p = ctx.params
     lam = eigenvalue_p(1, p.k + 1, p)
-    if kneser is not None:
-        kv = kneser.matvec(v)
-    else:
-        masks = ctx.disjointness_masks()
-        kv = []
-        for c in range(len(ctx.kspaces)):
-            m = masks[c]
-            acc = 0
-            while m:
-                low = m & -m
-                acc += v[low.bit_length() - 1]
-                m ^= low
-            kv.append(acc)
-    return all(kvi == lam * vi for kvi, vi in zip(kv, v))
+    return _is_eigenvector(v, [ids_of(m) for m in ctx.disjointness_masks()], lam)
+
+
+def _eigenspace(rows, lam: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of ker(M - lam I), M given by its integer
+    rows: one vector per free column of the certified RREF."""
+    n = len(rows)
+    shifted = [[v - lam if r == c else v for c, v in enumerate(row)] for r, row in enumerate(rows)]
+    return kernel_vectors(rref_int(shifted, n)[1], n)
+
+
+def _rank(rows, ncols: int) -> int:
+    return len(rref_int(rows, ncols)[0])
 
 
 @dataclass(frozen=True)
@@ -134,20 +109,24 @@ class SpectralSplit:
 def rowspace_equals_v0_v1(ctx: GeometryCtx) -> SpectralSplit:
     """Verify im(A^T) = V0 + V1: compute the disjointness-matrix eigenspaces
     for the first two eigenvalues, compare dimensions with rank(A), and check
-    every row of A against the joint basis."""
+    that appending the rows of A does not raise the rank of the joint basis.
+    Raises ValueError when n < 2k+1: no two k-spaces are disjoint, K = 0 and
+    the theorem does not apply."""
     p = ctx.params
-    a = build_incidence(ctx)
+    _require_span_scale(p)
+    total = len(ctx.kspaces)
+    a = incidence_rows(ctx)
     kneser = build_relation(p.k + 1, ctx)
-    v0 = kneser.eigenspace_basis(eigenvalue_p(0, p.k + 1, p))
-    v1 = kneser.eigenspace_basis(eigenvalue_p(1, p.k + 1, p))
-    joint = ExactMatrix(v0 + v1)
-    rank_a = a.rank()
-    rows_ok = all(joint.in_rowspace(row) for row in a.rows)
+    v0 = _eigenspace(kneser, eigenvalue_p(0, p.k + 1, p))
+    v1 = _eigenspace(kneser, eigenvalue_p(1, p.k + 1, p))
+    joint = v0 + v1
+    rank_a = _rank(a, total)
+    rank_joint = _rank(joint, total)
     ok = (
         len(v0) == 1
-        and len(v0) + len(v1) == rank_a
-        and len(joint.rows) == joint.rank()
-        and rows_ok
+        and len(joint) == rank_a
+        and len(joint) == rank_joint
+        and _rank(joint + a, total) == rank_joint
     )
     return SpectralSplit(rank=rank_a, dim_v0=len(v0), dim_v1=len(v1), ok=ok)
 
@@ -162,39 +141,27 @@ def full_spectrum_check(ctx: GeometryCtx) -> SpectrumCertificate:
     """Exact verification of the whole eigenmatrix against the built scheme.
 
     Carves the common eigenspaces out of the distance-1 matrix, then checks
-    every relation matrix on every (integer-scaled) basis vector against the
-    closed-form eigenvalues.  Dimensions must sum to the number of k-spaces
-    and the first eigenspace must be the all-one line.
+    every relation matrix on every primitive integer basis vector against
+    the closed-form eigenvalues.  Dimensions must sum to the number of
+    k-spaces and the first eigenspace must be the all-one line.
     """
     p = ctx.params
-    total = len(ctx.kspaces)
     a1 = build_relation(1, ctx)
-    rel = ctx.relation_masks()
+    rel_ids = [[ids_of(m) for m in masks] for masks in ctx.relation_masks()]
     dims = []
     ok = True
     for j in range(p.k + 2):
-        basis = a1.eigenspace_basis(eigenvalue_p(j, 1, p))
+        basis = _eigenspace(a1, eigenvalue_p(j, 1, p))
         dims.append(len(basis))
         if j == 0 and len(basis) != 1:
             ok = False
         for vec in basis:
-            iv = scale_to_int(vec)
-            for i in range(p.k + 2):
-                lam = eigenvalue_p(j, i, p)
-                for r in range(total):
-                    acc = 0
-                    m = rel[i][r]
-                    while m:
-                        low = m & -m
-                        acc += iv[low.bit_length() - 1]
-                        m ^= low
-                    if acc != lam * iv[r]:
-                        ok = False
-                        break
-                else:
-                    continue
-                break
-    if sum(dims) != total:
+            if not all(
+                _is_eigenvector(vec, rel_ids[i], eigenvalue_p(j, i, p))
+                for i in range(p.k + 2)
+            ):
+                ok = False
+    if sum(dims) != len(ctx.kspaces):
         ok = False
     return SpectrumCertificate(dims=tuple(dims), ok=ok)
 
@@ -207,7 +174,6 @@ class SchemeBundle:
         self.ctx = ctx
         self.cache = cache
         self._rref: tuple[tuple[int, ...], list[FreeColumn]] | None = None
-        self._kernel_int: list[tuple[int, ...]] | None = None
         self._spreads: list[tuple[int, ...]] | None = None
         self._spreads_exhaustive: bool | None = None
         self._spread_masks: list[int] | None = None
@@ -228,18 +194,7 @@ class SchemeBundle:
     def kernel_int(self) -> list[tuple[int, ...]]:
         """Primitive integer kernel basis of the incidence matrix, one vector
         per free column: L at f and minus each coefficient at its pivot."""
-        if self._kernel_int is None:
-            total = len(self.ctx.kspaces)
-            basis = []
-            _, free = self.incidence_rref()
-            for f, scale, supp in free:
-                v = [0] * total
-                v[f] = scale
-                for pcol, coef in supp:
-                    v[pcol] = -coef
-                basis.append(tuple(v))
-            self._kernel_int = basis
-        return self._kernel_int
+        return kernel_vectors(self.incidence_rref()[1], len(self.ctx.kspaces))
 
     def relation_masks(self) -> list[list[int]]:
         return self.ctx.relation_masks()
@@ -281,22 +236,15 @@ class SchemeBundle:
     def spread_masks(self) -> list[int]:
         """Bitmask (over k-space ids) of each spread in spreads()."""
         if self._spread_masks is None:
-            spreads, _ = self.spreads()
-            masks = []
-            for s in spreads:
-                m = 0
-                for c in s:
-                    m |= 1 << c
-                masks.append(m)
-            self._spread_masks = masks
+            self._spread_masks = [mask_of(s) for s in self.spreads()[0]]
         return self._spread_masks
 
 
 def bundle_for(ctx: GeometryCtx, cache=None) -> SchemeBundle:
-    """The one SchemeBundle of a geometry, kept on the ctx itself."""
+    """The one SchemeBundle of a geometry, kept on the ctx itself; a cache
+    passed here replaces the one it had."""
     if ctx._bundle is None:
-        ctx._bundle = SchemeBundle(ctx, cache=cache)
-    b = ctx._bundle
-    if cache is not None and b.cache is None:
-        b.cache = cache
-    return b
+        ctx._bundle = SchemeBundle(ctx)
+    if cache is not None:
+        ctx._bundle.cache = cache
+    return ctx._bundle

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .families import BatteryConfig, CLCandidate, run_battery
-from .geometry import GeometryCtx
+from .geometry import GeometryCtx, ids_of, mask_of
 from .qformulas import (
     excludes_skew_subfamily,
     meet_count_target,
@@ -130,7 +130,7 @@ class _PropagateEngine:
             self.t_out[i] = tout if tout is not None else -1
         rel_masks = bundle.relation_masks()
         self.rel_idx: list = [None] + [
-            [_mask_ids(rel_masks[i][c]) for c in range(self.total)]
+            [ids_of(rel_masks[i][c]) for c in range(self.total)]
             for i in range(1, p.k + 2)
         ]
         pivots, free = bundle.incidence_rref()
@@ -378,10 +378,7 @@ class _PropagateEngine:
             return
         if not self.config.count_pruning:
             masks = self.bundle.relation_masks()
-            fam_mask = 0
-            for c in range(self.total):
-                if self.state[c] == IN:
-                    fam_mask |= 1 << c
+            fam_mask = mask_of(c for c in range(self.total) if self.state[c] == IN)
             for i in range(1, self.num_rel + 1):
                 for c in range(self.total):
                     tgt = self.t_in[i] if self.state[c] == IN else self.t_out[i]
@@ -433,15 +430,6 @@ class _PropagateEngine:
             ]
             used += 1
         return prefixes
-
-
-def _mask_ids(mask: int) -> tuple[int, ...]:
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(ids)
 
 
 def _reference_solve(
@@ -639,13 +627,10 @@ def max_disjoint_subfamily(cand: CLCandidate) -> int:
     if n == 0:
         return 0
     disj = cand.ctx.disjointness_masks()
-    local = []
-    for a_pos, a in enumerate(ids):
-        m = 0
-        for b_pos in range(a_pos + 1, n):
-            if (disj[a] >> ids[b_pos]) & 1:
-                m |= 1 << b_pos
-        local.append(m)
+    local = [
+        mask_of(b_pos for b_pos in range(a_pos + 1, n) if (disj[a] >> ids[b_pos]) & 1)
+        for a_pos, a in enumerate(ids)
+    ]
     best = 0
 
     def expand(candidates: int, size: int) -> None:

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from clkset import GeometryCtx
 from clkset.families import Verdict
-from clkset.linalg import fraction_rows
 from clkset.qformulas import eigenvalue_p, meet_count_target, valence
 from clkset.scheme import q_disjoint_coefficient, v1_eigen_check
 
@@ -142,10 +141,18 @@ def skew_pair_profile_bruteforce(ctx: GeometryCtx, a: int, b: int):
 
 
 def rref_fraction(rows) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Gauss–Jordan over Fractions, pivoting on the smallest-magnitude entry
-    of each column: (nonzero RREF rows, pivot columns).  The reference for
-    the certified modular route of clkset.linalg."""
-    work = [[Fraction(v) for v in row] for row in rows]
+    """Gauss–Jordan over the rationals, pivoting on the smallest-magnitude
+    entry of each column: (nonzero RREF rows as Fractions, pivot columns).
+    The reference for the certified modular route of clkset.linalg.
+
+    Each row is kept as a primitive integer vector (the row times the lcm of
+    its denominators, divided by the gcd of its entries), which spans the
+    same line as the rational row; a row is divided by its pivot only at the
+    end.  No modulus, reconstruction or certificate is involved."""
+    work = []
+    for row in rows:
+        scale = lcm(*(Fraction(v).denominator for v in row))
+        work.append([int(Fraction(v) * scale) for v in row])
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
@@ -161,19 +168,67 @@ def rref_fraction(rows) -> tuple[list[list[Fraction]], tuple[int, ...]]:
             continue
         i = best[1]
         work[r], work[i] = work[i], work[r]
-        inv = 1 / work[r][c]
-        if inv != 1:
-            work[r] = [v * inv for v in work[r]]
+        a = work[r][c]
+        nonzero = [(j, b) for j, b in enumerate(work[r]) if b]
         for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row_r = work[r]
-                work[i] = [a - f * b for a, b in zip(work[i], row_r)]
+            f = work[i][c]
+            if i != r and f:
+                row_i = [x * a for x in work[i]]
+                for j, b in nonzero:
+                    row_i[j] -= f * b
+                g = gcd(*row_i)
+                work[i] = [x // g for x in row_i] if g > 1 else row_i
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return work[:r], tuple(pivots)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)], tuple(pivots)
+
+
+def fraction_rows(pivots, free_columns) -> list[list[Fraction]]:
+    """The RREF rows as Fractions, from rref_int's integer form."""
+    ncols = len(pivots) + len(free_columns)
+    rows = [[Fraction(0)] * ncols for _ in pivots]
+    row_of = {pcol: r for r, pcol in enumerate(pivots)}
+    for r, pcol in enumerate(pivots):
+        rows[r][pcol] = Fraction(1)
+    for f, scale, supp in free_columns:
+        for pcol, coef in supp:
+            rows[row_of[pcol]][f] = Fraction(coef, scale)
+    return rows
+
+
+def kernel_basis_fraction(rows, pivots, ncols: int) -> list[list[Fraction]]:
+    """Kernel basis from a Fraction RREF: 1 at each free column f and
+    -R[r][f] at pivot r."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            v[pcol] = -rows[r][f]
+        basis.append(v)
+    return basis
+
+
+def scale_to_int(v) -> tuple[int, ...]:
+    """Scale a rational vector to a primitive integer vector (sign kept)."""
+    scale = lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(Fraction(x) * scale) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def residual_fraction(rows, pivots, v) -> list[Fraction]:
+    """v row-reduced as Fractions against the RREF rows."""
+    res = [Fraction(x) for x in v]
+    for r, pcol in enumerate(pivots):
+        f = res[pcol]
+        if f:
+            res = [a - f * b for a, b in zip(res, rows[r])]
+    return res
 
 
 def free_columns_from_rref(rows, pivots, ncols: int):
@@ -201,13 +256,8 @@ def rowspace_check_fraction(cand, bundle):
     """Row-reduce chi as Fractions against the RREF rows; the first nonzero
     residual column is the witness."""
     pivots, free = bundle.incidence_rref()
-    rows = fraction_rows(pivots, free)
-    res = [Fraction(cand.chi(c)) for c in range(len(cand.ctx.kspaces))]
-    for r, p in enumerate(pivots):
-        f = res[p]
-        if f:
-            row = rows[r]
-            res = [a - f * b for a, b in zip(res, row)]
+    chi = [cand.chi(c) for c in range(len(cand.ctx.kspaces))]
+    res = residual_fraction(fraction_rows(pivots, free), pivots, chi)
     for c, v in enumerate(res):
         if v:
             return Verdict.FAIL, ("residual-at", c), ""

@@ -368,3 +368,18 @@ class TestIntegerChecksMatchOracles:
         if n < 2 * k + 1:
             names -= {"disjointness-counts", "kneser-eigenvector", "eigenspace-split"}
         assert {(name, v) for name in names for v in (Verdict.PASS, Verdict.FAIL)} <= verdicts
+
+    def test_non_integral_targets_miss_at_first_kspace(self, pg32, pg32_bundle):
+        # x = 8/7: the targets are not integers, so the first k-space is the
+        # witness and its Fraction target is printed as it was computed
+        fam = family(pg32, range(8))
+        for check in (check_disjointness_counts, check_meet_distribution):
+            res = check(fam, pg32_bundle)
+            assert res.verdict is Verdict.FAIL
+            assert res.witness[:2] == ("kspace", 0)
+            assert isinstance(res.witness[res.witness.index("expected") + 1], Fraction)
+        pen = point_pencil_family(pg32, 0)
+        swapped = family(pg32, pen.ids[1:] + (next(c for c in range(35) if c not in pen),))
+        res = check_spread_intersections(swapped, pg32_bundle, BatteryConfig())
+        assert res.verdict is Verdict.FAIL
+        assert res.witness[-2:] == ("expected", 1) and type(res.witness[-1]) is int

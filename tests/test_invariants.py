@@ -17,3 +17,17 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_linalg_and_scheme_do_not_import_fractions():
+    # rank, kernel, eigenspace and row-space answers come from integer rows
+    # and the certified RREF; Fraction arithmetic stays in the test oracles
+    found = []
+    for name in ("linalg.py", "scheme.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{name}:{node.lineno}" for a in node.names if a.name.split(".")[0] == "fractions"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

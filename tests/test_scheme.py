@@ -6,50 +6,70 @@ import pytest
 from clkset import (
     GeometryCtx,
     SchemeParams,
-    build_incidence,
     build_relation,
     bundle_for,
     eigenvalue_p,
     geometry,
-    in_rowspace,
-    kernel_basis,
     point_pencil_family,
     qbinom,
     rowspace_equals_v0_v1,
     v1_eigen_check,
     valence,
 )
-from _oracles import free_columns_from_rref, rref_fraction
-from clkset import SchemeBundle
-from clkset.linalg import CertificateError, check_rref_certificate, rref_int, scale_to_int
-from clkset.scheme import disjointness_vector_identity, full_spectrum_check, incidence_rows
+from _oracles import (
+    free_columns_from_rref,
+    kernel_basis_fraction,
+    residual_fraction,
+    rref_fraction,
+    scale_to_int,
+)
+from clkset import SchemeBundle, scheme
+from clkset.io import DiskCache
+from clkset.linalg import (
+    CertificateError,
+    check_rref_certificate,
+    first_residual,
+    rref_int,
+)
+from clkset.scheme import (
+    _eigenspace,
+    disjointness_vector_identity,
+    full_spectrum_check,
+    incidence_rows,
+    q_disjoint_coefficient,
+)
+
+
+def matvec(rows, v):
+    return [sum(a * b for a, b in zip(row, v) if a) for row in rows]
+
+
+def shifted(rows, lam):
+    """Integer rows of M - lam I."""
+    return [[v - lam * (r == c) for c, v in enumerate(row)] for r, row in enumerate(rows)]
 
 
 class TestIncidence:
     def test_pg32_shape_and_sums(self, pg32):
-        a = build_incidence(pg32)
-        assert a.shape == (15, 35)
+        a = incidence_rows(pg32)
+        assert (len(a), len(a[0])) == (15, 35)
         for c in range(35):
-            assert sum(a.rows[r][c] for r in range(15)) == 3
+            assert sum(a[r][c] for r in range(15)) == 3
         for r in range(15):
-            assert sum(a.rows[r]) == 7
+            assert sum(a[r]) == 7
 
     def test_full_row_rank(self, pg32, pg42):
-        assert build_incidence(pg32).rank() == 15
-        assert build_incidence(pg42).rank() == 31
+        assert len(rref_int(incidence_rows(pg32), 35)[0]) == 15
+        assert len(rref_int(incidence_rows(pg42), 155)[0]) == 31
 
     def test_row_sum_vector(self, pg32):
-        a = build_incidence(pg32)
-        ones = [1] * 35
-        av = a.matvec(ones)
+        av = matvec(incidence_rows(pg32), [1] * 35)
         assert all(v == qbinom(3, 1, 2) for v in av)
 
 
 class TestRelations:
     def test_a0_identity(self, pg32):
-        from clkset.linalg import ExactMatrix
-
-        assert build_relation(0, pg32) == ExactMatrix.identity(35)
+        assert build_relation(0, pg32) == [[int(r == c) for c in range(35)] for r in range(35)]
 
     def test_sum_is_all_ones(self, pg32):
         total = [[0] * 35 for _ in range(35)]
@@ -57,7 +77,7 @@ class TestRelations:
             ai = build_relation(i, pg32)
             for r in range(35):
                 for c in range(35):
-                    total[r][c] += ai.rows[r][c]
+                    total[r][c] += ai[r][c]
         assert all(v == 1 for row in total for v in row)
 
     def test_row_sums_match_valences(self, pg32, pg33):
@@ -66,83 +86,107 @@ class TestRelations:
             for i in range(p.k + 2):
                 ai = build_relation(i, ctx)
                 expected = valence(i, p)
-                assert all(sum(row) == expected for row in ai.rows)
+                assert all(sum(row) == expected for row in ai)
                 assert expected == eigenvalue_p(0, i, p)
 
     def test_kneser_row_sum_matches_disjoint_count(self, pg32):
         from clkset import count_disjoint
 
         kneser = build_relation(2, pg32)
-        assert all(sum(row) == count_disjoint(3, 2, 1, 1) for row in kneser.rows)
+        assert all(sum(row) == count_disjoint(3, 2, 1, 1) for row in kneser)
 
     def test_relations_commute(self, pg32):
         a1 = build_relation(1, pg32)
         a2 = build_relation(2, pg32)
-        assert a1.matmul(a2) == a2.matmul(a1)
+
+        def matmul(x, y):
+            return [matvec(x, col) for col in zip(*y)]  # columns of x @ y
+
+        assert matmul(a1, a2) == matmul(a2, a1)
 
 
 class TestKernelAndRowspace:
     def test_kernel_dimension(self, pg32):
-        a = build_incidence(pg32)
-        basis = kernel_basis(a)
+        basis = bundle_for(pg32).kernel_int()
         assert len(basis) == 35 - 15
+        a = incidence_rows(pg32)
+        assert all(not any(matvec(a, v)) for v in basis)
 
     def test_rows_in_rowspace(self, pg32):
-        a = build_incidence(pg32)
-        for row in a.rows[:5]:
-            assert in_rowspace(row, a)
+        _, free = bundle_for(pg32).incidence_rref()
+        for row in incidence_rows(pg32)[:5]:
+            assert first_residual(free, row) is None
 
     def test_pencil_characteristic_vector_in_rowspace(self, pg32):
-        a = build_incidence(pg32)
-        pen = point_pencil_family(pg32, 3)
-        chi = [pen.chi(c) for c in range(35)]
-        assert in_rowspace(chi, a)
-        assert chi == a.rows[3]  # the pencil is literally a row of A
+        _, free = bundle_for(pg32).incidence_rref()
+        chi = point_pencil_family(pg32, 3).vector()
+        assert first_residual(free, chi) is None
+        assert chi == incidence_rows(pg32)[3]  # the pencil is literally a row of A
 
     def test_random_non_member_fails(self, pg32):
         rng = random.Random(2)
-        a = build_incidence(pg32)
+        _, free = bundle_for(pg32).incidence_rref()
         hits = 0
         for _ in range(20):
             ids = rng.sample(range(35), 7)
             chi = [1 if c in ids else 0 for c in range(35)]
-            if not in_rowspace(chi, a):
+            if first_residual(free, chi) is not None:
                 hits += 1
         assert hits >= 19  # random 7-sets are essentially never members
 
-    def test_routes_agree_on_random_vectors(self, pg32, pg33):
+    def test_routes_agree_on_random_vectors(self, pg32, pg33, pg42):
+        # first_residual against the Fraction residual of the oracle RREF
         rng = random.Random(4)
-        for ctx in (pg32, pg33):
-            a = build_incidence(ctx)
-            n = a.ncols
+        for ctx in (pg32, pg33, pg42):
+            a = incidence_rows(ctx)
+            total = len(ctx.kspaces)
+            _, free = bundle_for(ctx).incidence_rref()
+            rows, pivots = rref_fraction(a)
+            misses = 0
             for _ in range(100):
                 if rng.random() < 0.5:
-                    v = [rng.randint(-2, 2) for _ in range(n)]
+                    v = [rng.randint(-2, 2) for _ in range(total)]
                 else:  # genuine rowspace members mixed in
-                    coeffs = [rng.randint(-2, 2) for _ in range(a.nrows)]
-                    v = [
-                        sum(c * a.rows[r][j] for r, c in enumerate(coeffs))
-                        for j in range(n)
-                    ]
-                in_rowspace(v, a)  # internal assertion compares both routes
+                    coeffs = [rng.randint(-2, 2) for _ in range(len(a))]
+                    v = [sum(c * row[j] for c, row in zip(coeffs, a) if c) for j in range(total)]
+                res = residual_fraction(rows, pivots, v)
+                first = next((c for c, x in enumerate(res) if x), None)
+                miss = first_residual(free, v)
+                assert (None if miss is None else miss[1]) == first
+                misses += miss is not None
+            assert 0 < misses < 100
 
 
 class TestDisjointnessIdentity:
     def test_every_line_pg32(self, pg32):
-        a = build_incidence(pg32)
         for pi in range(35):
-            assert disjointness_vector_identity(pi, pg32, a)
+            assert disjointness_vector_identity(pi, pg32)
 
     def test_planes_pg42(self, pg42_planes):
-        a = build_incidence(pg42_planes)
         for pi in range(0, 155, 9):
-            assert disjointness_vector_identity(pi, pg42_planes, a)
+            assert disjointness_vector_identity(pi, pg42_planes)
+
+    def test_identity_against_matrix_product(self, pg33):
+        # the popcount identity against A v with v in Fractions
+        p = pg33.params
+        coeff = q_disjoint_coefficient(p)
+        a = incidence_rows(pg33)
+        disj = pg33.disjointness_masks()
+        inv = Fraction(1, qbinom(p.n, p.k, p.q))
+        for pi in (0, 57, 129):
+            v = [((disj[pi] >> c) & 1) - coeff * (inv - (c == pi)) for c in range(130)]
+            assert not any(matvec(a, v))
+            assert disjointness_vector_identity(pi, pg33)
+        bad = GeometryCtx(SchemeParams(n=3, k=1, q=3))
+        rel = bad.relation_masks()
+        rel[1], rel[2] = rel[2], rel[1]  # "disjoint" now reads "meet in a point"
+        assert not disjointness_vector_identity(0, bad)
 
     def test_incidence_column_is_point_vector(self, pg32):
-        a = build_incidence(pg32)
+        a = incidence_rows(pg32)
         pi = 11
-        chi = [Fraction(1 if c == pi else 0) for c in range(35)]
-        v_pi = a.matvec(chi)
+        chi = [1 if c == pi else 0 for c in range(35)]
+        v_pi = matvec(a, chi)
         expected = [
             1 if (pg32.kspace_masks[pi] >> p) & 1 else 0 for p in range(15)
         ]
@@ -153,15 +197,9 @@ class TestBundle:
     @pytest.mark.parametrize("n,k,q", [(3, 1, 2), (3, 1, 3), (4, 1, 2), (4, 2, 2)])
     def test_kernel_int_matches_scaled_fraction_basis(self, n, k, q):
         ctx = geometry(n, k, q)
-        rows, pivots = rref_fraction(incidence_rows(ctx))
         total = len(ctx.kspaces)
-        expected = []
-        for f, _, _ in free_columns_from_rref(rows, pivots, total):
-            v = [Fraction(0)] * total
-            v[f] = Fraction(1)
-            for r, pcol in enumerate(pivots):
-                v[pcol] = -rows[r][f]
-            expected.append(scale_to_int(v))
+        rows, pivots = rref_fraction(incidence_rows(ctx))
+        expected = [scale_to_int(v) for v in kernel_basis_fraction(rows, pivots, total)]
         assert bundle_for(ctx).kernel_int() == expected
 
     @pytest.mark.parametrize(
@@ -184,6 +222,17 @@ class TestBundle:
         tampered = free[:j] + [(f, scale, ((pcol, coef + 1), *rest))] + free[j + 1 :]
         with pytest.raises(CertificateError):
             check_rref_certificate(rows, pivots, tampered)
+
+    def test_later_cache_replaces_earlier(self, tmp_path):
+        ctx = GeometryCtx(SchemeParams(n=3, k=1, q=2))
+        first, second = DiskCache(str(tmp_path / "A")), DiskCache(str(tmp_path / "B"))
+        assert bundle_for(ctx, first).cache is first
+        bundle = bundle_for(ctx, second)
+        assert bundle.cache is second
+        assert bundle_for(ctx).cache is second  # no cache given: keep the current one
+        bundle.spreads()
+        assert not (tmp_path / "A").exists()
+        assert [f.name for f in (tmp_path / "B").iterdir()] == ["spreads_n3_q2_k1_v1.json"]
 
     def test_dropped_ctx_is_freed(self):
         import gc
@@ -212,10 +261,15 @@ class TestEigenVerification:
 
     def test_explicit_kneser_matrix_agrees(self, pg32):
         kneser = build_relation(2, pg32)
+        lam = eigenvalue_p(1, 2, pg32.params)
+        rng = random.Random(8)
         pen = point_pencil_family(pg32, 5)
-        total = 35
-        v = [Fraction(pen.chi(c)) - Fraction(7, 35) for c in range(total)]
-        assert v1_eigen_check(v, pg32, kneser)
+        vectors = [[35 * pen.chi(c) - 7 for c in range(35)], [1] * 35]
+        vectors += [[rng.randint(-2, 2) for _ in range(35)] for _ in range(5)]
+        for v in vectors:
+            by_matrix = matvec(kneser, v) == [lam * x for x in v]
+            assert v1_eigen_check(v, pg32) == by_matrix
+        assert v1_eigen_check(vectors[0], pg32)
 
 
 class TestSpectralSplit:
@@ -229,6 +283,24 @@ class TestSpectralSplit:
         assert (split.rank, split.dim_v0, split.dim_v1) == (31, 1, 30)
         assert split.ok
 
+    def test_pg33(self, pg33):
+        split = rowspace_equals_v0_v1(pg33)
+        assert (split.rank, split.dim_v0, split.dim_v1, split.ok) == (40, 1, 39, True)
+
+    def test_row_outside_v0_v1_fails(self, pg32, monkeypatch):
+        # rank and dimensions still agree; only the span test can see it
+        rows = incidence_rows(pg32)
+        rows[0] = [1] + [0] * 34  # one line: not a member of V0 + V1
+        monkeypatch.setattr(scheme, "incidence_rows", lambda ctx: rows)
+        split = rowspace_equals_v0_v1(pg32)
+        assert (split.rank, split.dim_v0, split.dim_v1, split.ok) == (15, 1, 14, False)
+
+    @pytest.mark.parametrize("n,k,q", [(4, 2, 2), (3, 2, 2), (2, 1, 3)])
+    def test_refused_without_disjoint_pairs(self, n, k, q):
+        # n < 2k+1: K = 0, so V0 and V1 are not the eigenspaces of the theorem
+        with pytest.raises(ValueError, match="n >= 2k\\+1"):
+            rowspace_equals_v0_v1(geometry(n, k, q))
+
 
 class TestEigenspaceDimsIndependent:
     def test_pg32_dims_same_from_either_matrix(self, pg32):
@@ -236,9 +308,26 @@ class TestEigenspaceDimsIndependent:
         a1 = build_relation(1, pg32)
         kneser = build_relation(2, pg32)
         for j in range(3):
-            d1 = len(a1.eigenspace_basis(eigenvalue_p(j, 1, p)))
-            d2 = len(kneser.eigenspace_basis(eigenvalue_p(j, 2, p)))
+            d1 = 35 - len(rref_int(shifted(a1, eigenvalue_p(j, 1, p)), 35)[0])
+            d2 = 35 - len(rref_int(shifted(kneser, eigenvalue_p(j, 2, p)), 35)[0])
             assert d1 == d2
+
+
+@pytest.mark.parametrize(
+    "n,k,q,dims", [(3, 1, 2, (1, 14, 20)), (3, 1, 3, (1, 39, 90)), (4, 1, 2, (1, 30, 124))]
+)
+def test_eigenspace_bases_match_fraction_oracle(n, k, q, dims):
+    # the eigenspaces of both spectral certificates against Fraction elimination
+    ctx = geometry(n, k, q)
+    p = ctx.params
+    total = len(ctx.kspaces)
+    a1 = build_relation(1, ctx)
+    for j in range(k + 2):
+        lam = eigenvalue_p(j, 1, p)
+        rows, pivots = rref_fraction(shifted(a1, lam))
+        expected = [scale_to_int(v) for v in kernel_basis_fraction(rows, pivots, total)]
+        assert _eigenspace(a1, lam) == expected
+        assert len(expected) == dims[j]
 
 
 def test_full_spectrum_small():
@@ -247,3 +336,8 @@ def test_full_spectrum_small():
     assert cert.ok
     assert sum(cert.dims) == 7
     assert cert.dims[0] == 1
+
+
+def test_full_spectrum_pg42_planes(pg42_planes):
+    cert = full_spectrum_check(pg42_planes)
+    assert (cert.dims, cert.ok) == ((1, 30, 124, 0), True)
