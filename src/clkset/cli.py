@@ -220,11 +220,13 @@ def cmd_search(args) -> int:
     _, bundle = _build_ctx(p, args.cache_dir)
     config = SearchConfig(threads=args.threads)
     summary_lines = []
+    payload: dict = {"n": p.n, "q": p.q, "k": p.k}
     try:
         if args.window:
             lo, hi = args.window
             report = nonexistence_window(ctx, lo, hi, config, bundle)
             total = sum(r.families for r in report.rows)
+            rows = []
             for row in report.rows:
                 line = (
                     f"x={row.x} size={row.size} families={row.families}"
@@ -235,30 +237,60 @@ def cmd_search(args) -> int:
                         else ""
                     )
                 )
-                if row.skew_audit is not None:
+                audit = row.skew_audit
+                if audit is not None:
                     line += (
-                        f" skew_exclusion(holds={row.skew_audit.holds},"
-                        f" lhs={row.skew_audit.lhs}, rhs={row.skew_audit.rhs})"
+                        f" skew_exclusion(holds={audit.holds},"
+                        f" lhs={audit.lhs}, rhs={audit.rhs})"
                     )
                 summary_lines.append(line)
+                rows.append(
+                    {
+                        "x": str(row.x),
+                        "size": row.size,
+                        "families": row.families,
+                        "reason": row.reason,
+                        "within_bound": row.within_bound,
+                        "skew_exclusion": None
+                        if audit is None
+                        else {
+                            "holds": audit.holds,
+                            "lhs": str(audit.lhs),
+                            "rhs": str(audit.rhs),
+                        },
+                    }
+                )
             summary_lines.append(f"total: {total} families")
-            print(f"{total} families")
+            payload.update(window=[str(lo), str(hi)], rows=rows, total=total)
+            text = f"{total} families"
             families = []
         elif args.x is not None:
             result = search_all(ctx, args.x, config, bundle)
             families = result.families
+            stats = result.stats
             summary_lines.append(
                 f"x={args.x} families={len(families)}"
                 + (f" reason={result.reason}" if result.reason else "")
             )
-            summary_lines.append(f"nodes={result.stats.nodes} prunes={result.stats.prunes}")
-            print(f"{len(families)} families")
+            summary_lines.append(f"nodes={stats.nodes} prunes={stats.prunes}")
+            payload.update(
+                x=str(args.x),
+                families=[list(fam) for fam in families],
+                reason=result.reason,
+                nodes=stats.nodes,
+                forced=stats.forced,
+                leaves=stats.leaves,
+                prunes=stats.prunes,
+                wall_seconds=stats.wall_seconds,
+            )
+            text = f"{len(families)} families"
         else:
             print("error: provide --x or --window", file=sys.stderr)
             return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    print(json.dumps(payload, indent=2) if args.format == "json" else text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for idx, fam in enumerate(families):
@@ -321,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.add_argument("--cache-dir", default=None)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_search)
     return parser
 

@@ -5,10 +5,21 @@ RREF: the remaining coordinates of any admissible characteristic vector are
 linear functions of the pivot coordinates (orthogonality to the kernel of A),
 so they are forced, interval-pruned while partially decided, and verified on
 completion.  On top of that, every decided k-space carries exact meet-count
-targets per relation; running tallies against those targets prune and force
+targets per relation; running counts against those targets prune and force
 aggressively.  Both rule families are implied by membership, so the search is
 exhaustive: it returns exactly the families whose battery passes, and every
 returned family is battery-verified before it is reported.
+
+The state is two N-bit masks, members and non-members.  The meet counts are
+bit-sliced (Knuth, TAOCP 4A, 7.1.3): per relation i, the tally T_i (members
+among each k-space's relation-i neighbours) and the ceiling A_i (deg_i minus
+non-members among them) are lists of N-bit planes, one per binary digit, so
+deciding a k-space adds or subtracts its neighbour mask with a ripple carry,
+and a comparison against a target is one scan over the planes.  Forced
+decisions wait in two pending masks; a k-space pending both ways, or against
+its decided value, is a conflict.  Every rule is re-checked wherever its
+inputs change, the decided k-space's own window included, so a successful
+propagation reaches the same fixpoint in any order.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .qformulas import (
 )
 from .scheme import SchemeBundle, bundle_for
 
-UNDEC, IN, OUT = 0, 1, 2
+IN, OUT = 1, 2
 
 DEFAULT_SEARCH_CAP = 2000
 
@@ -48,7 +59,7 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    forced: int = 0
+    forced: int = 0  # coordinates decided by propagation
     leaves: int = 0
     prunes: dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
@@ -80,6 +91,28 @@ def _int_or_none(value: Fraction) -> int | None:
     return int(value) if value.denominator == 1 else None
 
 
+def _add(planes: list[int], bits: int) -> None:
+    """Add 1 at every set bit of `bits` to a bit-sliced counter."""
+    for b, plane in enumerate(planes):
+        planes[b] = plane ^ bits
+        bits &= plane
+        if not bits:
+            return
+    if bits:
+        raise RuntimeError("meet-count tally overflow")
+
+
+def _sub(planes: list[int], bits: int) -> None:
+    """Subtract 1 at every set bit of `bits` from a bit-sliced counter."""
+    for b, plane in enumerate(planes):
+        planes[b] = plane ^ bits
+        bits &= ~plane
+        if not bits:
+            return
+    if bits:
+        raise RuntimeError("meet-count ceiling underflow")
+
+
 class _PropagateEngine:
     def __init__(
         self,
@@ -93,6 +126,7 @@ class _PropagateEngine:
         self.config = config
         p = ctx.params
         self.total = len(ctx.kspaces)
+        self.full = (1 << self.total) - 1
         self.x = x
         self.reason: str | None = None
         size = x * qbinom(p.n, p.k, p.q)
@@ -105,46 +139,39 @@ class _PropagateEngine:
             return
         self.num_rel = p.k + 1
         self.deg = [valence(i, p) for i in range(p.k + 2)]
-        self.t_in: list[int | None] = [None] * (p.k + 2)
-        self.t_out: list[int | None] = [None] * (p.k + 2)
+        self.t_in = [-1] * (p.k + 2)
+        self.t_out = [-1] * (p.k + 2)
         for i in range(1, p.k + 2):
             tin = _int_or_none(meet_count_target(i, p, x, member=True))
             tout = _int_or_none(meet_count_target(i, p, x, member=False))
-            if self.target > 0 and (tin is None or not 0 <= tin <= self.deg[i]):
+            in_range = [t is not None and 0 <= t <= self.deg[i] for t in (tin, tout)]
+            if self.target > 0 and not in_range[0]:
                 self.reason = (
                     f"members need exactly {meet_count_target(i, p, x, True)} "
                     f"meets at relation {i}: impossible"
                 )
                 return
-            if self.target < self.total and (
-                tout is None or not 0 <= tout <= self.deg[i]
-            ):
+            if self.target < self.total and not in_range[1]:
                 self.reason = (
                     f"non-members need exactly {meet_count_target(i, p, x, False)} "
                     f"meets at relation {i}: impossible"
                 )
                 return
-            # -1 marks an unattainable target (possible only when the
+            # -1 marks a target never met (possible only when the
             # corresponding side has no columns at completion)
-            self.t_in[i] = tin if tin is not None else -1
-            self.t_out[i] = tout if tout is not None else -1
-        rel_masks = bundle.relation_masks()
-        self.rel_idx: list = [None] + [
-            [ids_of(rel_masks[i][c]) for c in range(self.total)]
-            for i in range(1, p.k + 2)
-        ]
+            self.t_in[i] = tin if in_range[0] else -1
+            self.t_out[i] = tout if in_range[1] else -1
+        self.rel = bundle.relation_masks()
         pivots, free = bundle.incidence_rref()
         self.pivots = list(pivots)
-        self.free_cols = []
-        self.f_scale: dict[int, int] = {}
-        self.f_supp: dict[int, tuple[tuple[int, int], ...]] = {}
+        # free columns by position j: column, scale L_f, (pivot, coef) support
+        self.free_cols = [f for f, _, _ in free]
+        self.f_scale = [scale for _, scale, _ in free]
+        self.f_supp = [supp for _, _, supp in free]
         self.pivot_supp: dict[int, list[tuple[int, int]]] = {c: [] for c in pivots}
-        for f, scale, supp in free:
-            self.free_cols.append(f)
-            self.f_scale[f] = scale
-            self.f_supp[f] = supp
+        for j, supp in enumerate(self.f_supp):
             for pcol, coef in supp:
-                self.pivot_supp[pcol].append((f, coef))
+                self.pivot_supp[pcol].append((j, coef))
         self.perm_maps = None
         if config.symmetry_reduce:
             self.perm_maps = ctx.coordinate_permutation_maps()
@@ -152,240 +179,200 @@ class _PropagateEngine:
     # -- mutable search state ------------------------------------------------
 
     def _init_state(self):
-        total, nrel = self.total, self.num_rel
-        self.state = [UNDEC] * total
-        self.n_in = 0
-        self.n_out = 0
-        self.tally = [None] + [[0] * total for _ in range(nrel)]
-        self.undec_nb = [None] + [
-            [self.deg[i]] * total for i in range(1, nrel + 1)
+        full = self.full
+        self.in_mask = self.out_mask = 0
+        self.pend_in = self.pend_out = 0
+        # per relation: bit-sliced tally T_i and ceiling A_i, low digit first
+        self.tally = [[0] * d.bit_length() for d in self.deg]
+        self.ceiling = [
+            [full if d >> b & 1 else 0 for b in range(d.bit_length())]
+            for d in self.deg
         ]
-        self.acc = {f: 0 for f in self.free_cols}
-        self.rem = {f: len(self.f_supp[f]) for f in self.free_cols}
-        self.lo = {}
-        self.hi = {}
-        for f in self.free_cols:
-            lo = hi = 0
-            for _, coef in self.f_supp[f]:
-                if coef < 0:
-                    lo += coef
-                else:
-                    hi += coef
-            self.lo[f] = lo
-            self.hi[f] = hi
+        # linear rule of free column j: acc = sum of decided members' coefs;
+        # lo and hi bound what the undecided support can still add
+        self.acc = [0] * len(self.free_cols)
+        self.lo = [sum(c for _, c in supp if c < 0) for supp in self.f_supp]
+        self.hi = [sum(c for _, c in supp if c > 0) for supp in self.f_supp]
 
     def _snapshot(self):
         return (
-            self.state[:],
-            self.n_in,
-            self.n_out,
-            [None] + [t[:] for t in self.tally[1:]],
-            [None] + [u[:] for u in self.undec_nb[1:]],
-            dict(self.acc),
-            dict(self.rem),
-            dict(self.lo),
-            dict(self.hi),
+            self.in_mask,
+            self.out_mask,
+            [t[:] for t in self.tally],
+            [a[:] for a in self.ceiling],
+            self.acc[:],
+            self.lo[:],
+            self.hi[:],
         )
 
     def _restore(self, snap):
-        (
-            self.state,
-            self.n_in,
-            self.n_out,
-            self.tally,
-            self.undec_nb,
-            self.acc,
-            self.rem,
-            self.lo,
-            self.hi,
-        ) = (
-            snap[0][:],
-            snap[1],
-            snap[2],
-            [None] + [t[:] for t in snap[3][1:]],
-            [None] + [u[:] for u in snap[4][1:]],
-            dict(snap[5]),
-            dict(snap[6]),
-            dict(snap[7]),
-            dict(snap[8]),
-        )
+        self.in_mask, self.out_mask, tally, ceiling, acc, lo, hi = snap
+        self.tally = [t[:] for t in tally]
+        self.ceiling = [a[:] for a in ceiling]
+        self.acc, self.lo, self.hi = acc[:], lo[:], hi[:]
+        self.pend_in = self.pend_out = 0
 
     # -- constraint propagation ----------------------------------------------
 
-    def _column_window_ok(self, c: int, stats: SearchStats) -> bool:
-        for i in range(1, self.num_rel + 1):
-            t = self.tally[i][c]
-            u = self.undec_nb[i][c]
-            s = self.state[c]
-            if s == IN:
-                tgt = self.t_in[i]
-                if t > tgt or t + u < tgt:
-                    stats.bump("count")
-                    return False
-            elif s == OUT:
-                tgt = self.t_out[i]
-                if t > tgt or t + u < tgt:
-                    stats.bump("count")
-                    return False
+    def _push(self, ins: int, outs: int, stats: SearchStats) -> bool:
+        """Add decisions to the pending masks; a k-space wanted both ways,
+        or against its decided value, is a conflict."""
+        ins |= self.pend_in
+        outs |= self.pend_out
+        if ins & (outs | self.out_mask) or outs & self.in_mask:
+            stats.bump("conflict")
+            return False
+        self.pend_in = ins & ~self.in_mask
+        self.pend_out = outs & ~self.out_mask
         return True
 
-    def _queue_saturation(self, c: int, i: int, force_val: int, queue) -> None:
-        for m in self.rel_idx[i][c]:
-            if self.state[m] == UNDEC:
-                queue.append((m, force_val))
+    def _window(self, i: int, t: int, w: int) -> tuple[int, int, int]:
+        """For the k-spaces in w at relation i and target t: (T <= t <= A,
+        T == t < A, T < t == A), by a most-significant-digit-first scan."""
+        if t < 0:
+            return 0, 0, 0
+        t_gt = a_gt = 0
+        t_eq = a_eq = w
+        tally, ceiling = self.tally[i], self.ceiling[i]
+        for b in range(len(tally) - 1, -1, -1):
+            tp, ap = tally[b], ceiling[b]
+            if t >> b & 1:
+                t_eq &= tp
+                a_eq &= ap
+            else:
+                t_gt |= t_eq & tp
+                t_eq &= ~tp
+                a_gt |= a_eq & ap
+                a_eq &= ~ap
+            if not (t_eq or a_eq):
+                break  # the lower digits decide nothing more
+        return (a_gt | a_eq) & ~t_gt, t_eq & ~a_eq, a_eq & ~t_eq
 
-    def _linear_window(self, f: int, queue, stats: SearchStats) -> bool:
-        lo = self.acc[f] + self.lo[f]
-        hi = self.acc[f] + self.hi[f]
-        scale = self.f_scale[f]
-        s = self.state[f]
-        can_out = s != IN and lo <= 0 <= hi
-        can_in = s != OUT and lo <= scale <= hi
+    def _count_rules(self, i: int, w: int, stats: SearchStats) -> bool:
+        """The meet-count rules of relation i on the k-spaces in w."""
+        in_mask, out_mask = self.in_mask, self.out_mask
+        undec = self.full & ~(in_mask | out_mask)
+        # members and undecided k-spaces against the member target,
+        # non-members and undecided ones against the non-member target
+        ok_in, in_hit, in_short = self._window(i, self.t_in[i], w & ~out_mask)
+        ok_out, out_hit, out_short = self._window(i, self.t_out[i], w & ~in_mask)
+        if w & (in_mask & ~ok_in | out_mask & ~ok_out | undec & ~(ok_in | ok_out)):
+            stats.bump("count")
+            return False
+        force_in = ok_in & ~ok_out & undec
+        force_out = ok_out & ~ok_in & undec
+        # a decided k-space whose tally met its target: its undecided
+        # neighbours are out; whose ceiling met it: they are all in
+        force_out |= self._neighbours(i, in_mask & in_hit | out_mask & out_hit) & undec
+        force_in |= self._neighbours(i, in_mask & in_short | out_mask & out_short) & undec
+        return not (force_in or force_out) or self._push(force_in, force_out, stats)
+
+    def _neighbours(self, i: int, sat: int) -> int:
+        """The union of the relation-i neighbourhoods of the k-spaces in sat."""
+        rel, nbs = self.rel[i], 0
+        while sat:
+            low = sat & -sat
+            nbs |= rel[low.bit_length() - 1]
+            sat ^= low
+        return nbs
+
+    def _linear_window(self, j: int, stats: SearchStats) -> bool:
+        """Free column f = free_cols[j] is L_f * chi_f = sum coef * chi_pivot:
+        once the reachable interval excludes 0 (or L_f), f is in (or out)."""
+        bit = 1 << self.free_cols[j]
+        acc, scale = self.acc[j], self.f_scale[j]
+        lo, hi = acc + self.lo[j], acc + self.hi[j]
+        can_out = not self.in_mask & bit and lo <= 0 <= hi
+        can_in = not self.out_mask & bit and lo <= scale <= hi
         if not can_out and not can_in:
             stats.bump("linear")
             return False
-        if self.rem[f] == 0:
-            value = self.acc[f]
-            if value == 0:
-                want = OUT
-            elif value == scale:
-                want = IN
-            else:
-                stats.bump("linear")
-                return False
-            if s == UNDEC:
-                queue.append((f, want))
-            elif s != want:
-                stats.bump("linear")
-                return False
-        else:
-            if not can_out and s == UNDEC:
-                queue.append((f, IN))
-            elif not can_in and s == UNDEC:
-                queue.append((f, OUT))
-        return True
-
-    def _decide(self, c: int, val: int, queue, stats: SearchStats) -> bool:
-        s = self.state[c]
-        if s != UNDEC:
-            if s != val:
-                stats.bump("conflict")
-                return False
+        if can_out and can_in:
             return True
-        self.state[c] = val
+        return self._push(bit, 0, stats) if can_in else self._push(0, bit, stats)
+
+    def _decide(self, c: int, val: int, stats: SearchStats) -> bool:
+        bit = 1 << c
         if val == IN:
-            self.n_in += 1
-            if self.n_in > self.target:
+            self.in_mask |= bit
+            if self.in_mask.bit_count() > self.target:
                 stats.bump("size")
                 return False
         else:
-            self.n_out += 1
-            if self.total - self.n_out < self.target:
+            self.out_mask |= bit
+            if self.total - self.out_mask.bit_count() < self.target:
                 stats.bump("size")
                 return False
-        counting = self.config.count_pruning
-        if counting and not self._column_window_ok(c, stats):
-            return False
-        for i in range(1, self.num_rel + 1):
-            tally_i = self.tally[i]
-            undec_i = self.undec_nb[i]
-            t_in_i = self.t_in[i]
-            t_out_i = self.t_out[i]
-            for m in self.rel_idx[i][c]:
-                undec_i[m] -= 1
+        if self.config.count_pruning:
+            for i in range(1, self.num_rel + 1):
+                nbs = self.rel[i][c]
                 if val == IN:
-                    tally_i[m] += 1
-                if not counting:
-                    continue
-                t = tally_i[m]
-                u = undec_i[m]
-                sm = self.state[m]
-                if sm == IN:
-                    if t > t_in_i or t + u < t_in_i:
-                        stats.bump("count")
-                        return False
-                    if u:
-                        if t == t_in_i:
-                            self._queue_saturation(m, i, OUT, queue)
-                        elif t + u == t_in_i:
-                            self._queue_saturation(m, i, IN, queue)
-                elif sm == OUT:
-                    if t > t_out_i or t + u < t_out_i:
-                        stats.bump("count")
-                        return False
-                    if u:
-                        if t == t_out_i:
-                            self._queue_saturation(m, i, OUT, queue)
-                        elif t + u == t_out_i:
-                            self._queue_saturation(m, i, IN, queue)
+                    _add(self.tally[i], nbs)
                 else:
-                    ok_in = t <= t_in_i <= t + u
-                    ok_out = t <= t_out_i <= t + u
-                    if not ok_in and not ok_out:
-                        stats.bump("count")
-                        return False
-                    if ok_in != ok_out:
-                        queue.append((m, IN if ok_in else OUT))
-        for f, coef in self.pivot_supp.get(c, ()):
-            self.rem[f] -= 1
+                    _sub(self.ceiling[i], nbs)
+                if not self._count_rules(i, nbs | bit, stats):
+                    return False
+        for j, coef in self.pivot_supp.get(c, ()):
             if val == IN:
-                self.acc[f] += coef
+                self.acc[j] += coef
             if coef < 0:
-                self.lo[f] -= coef
+                self.lo[j] -= coef
             else:
-                self.hi[f] -= coef
-            if not self._linear_window(f, queue, stats):
+                self.hi[j] -= coef
+            if not self._linear_window(j, stats):
                 return False
         return True
 
-    def _apply(self, decisions, stats: SearchStats) -> bool:
-        """Apply explicit decisions, then drain the propagation queue.
-        Only propagated decisions count as forced."""
-        queue = list(decisions)
-        explicit = len(queue)
-        head = 0
-        while head < len(queue):
-            c, val = queue[head]
-            head += 1
-            before = self.state[c]
-            if not self._decide(c, val, queue, stats):
-                return False
-            if head > explicit and before == UNDEC:
-                stats.forced += 1
-        return True
+    def _apply(self, ins: int, outs: int, stats: SearchStats) -> bool:
+        """Decide the k-spaces in ins and outs, then everything pending, to
+        the fixpoint.  Only propagated decisions count as forced."""
+        before = self.in_mask | self.out_mask
+        ok = self._push(ins, outs, stats)
+        while ok and (self.pend_in or self.pend_out):
+            if self.pend_in:
+                low = self.pend_in & -self.pend_in
+                self.pend_in ^= low
+                ok = self._decide(low.bit_length() - 1, IN, stats)
+            else:
+                low = self.pend_out & -self.pend_out
+                self.pend_out ^= low
+                ok = self._decide(low.bit_length() - 1, OUT, stats)
+        decided = (self.in_mask | self.out_mask) & ~before
+        stats.forced += (decided & ~(ins | outs)).bit_count()
+        return ok
 
     # -- driver ---------------------------------------------------------------
 
     def _next_pivot(self, start: int) -> int | None:
+        decided = self.in_mask | self.out_mask
         for idx in range(start, len(self.pivots)):
-            if self.state[self.pivots[idx]] == UNDEC:
+            if not decided >> self.pivots[idx] & 1:
                 return idx
         return None
 
     def _symmetry_allows(self, c: int) -> bool:
-        if self.perm_maps is None or self.n_in > 0:
+        if self.perm_maps is None or self.in_mask:
             return True
-        if any(self.state[d] != OUT for d in range(c)):
+        below = (1 << c) - 1
+        if self.out_mask & below != below:
             return True  # smallest member not pinned yet; cannot prune
         return all(mapping[c] >= c for mapping in self.perm_maps)
 
     def _leaf(self, out: list, stats: SearchStats) -> None:
         stats.leaves += 1
-        if any(s == UNDEC for s in self.state):
-            raise AssertionError("leaf reached with undecided coordinates")
-        if self.n_in != self.target:
+        if self.in_mask | self.out_mask != self.full:
+            raise RuntimeError("leaf reached with undecided coordinates")
+        if self.in_mask.bit_count() != self.target:
             stats.bump("size")
             return
         if not self.config.count_pruning:
-            masks = self.bundle.relation_masks()
-            fam_mask = mask_of(c for c in range(self.total) if self.state[c] == IN)
             for i in range(1, self.num_rel + 1):
-                for c in range(self.total):
-                    tgt = self.t_in[i] if self.state[c] == IN else self.t_out[i]
-                    if (masks[i][c] & fam_mask).bit_count() != tgt:
+                for c, nbs in enumerate(self.rel[i]):
+                    tgt = self.t_in[i] if self.in_mask >> c & 1 else self.t_out[i]
+                    if (nbs & self.in_mask).bit_count() != tgt:
                         stats.bump("count")
                         return
-        out.append(tuple(c for c in range(self.total) if self.state[c] == IN))
+        out.append(ids_of(self.in_mask))
 
     def _dfs(self, start: int, out: list, stats: SearchStats) -> None:
         idx = self._next_pivot(start)
@@ -395,26 +382,36 @@ class _PropagateEngine:
             return
         c = self.pivots[idx]
         stats.nodes += 1
-        for val in (IN, OUT):
-            if val == IN and not self._symmetry_allows(c):
+        bit = 1 << c
+        for ins, outs in ((bit, 0), (0, bit)):
+            if ins and not self._symmetry_allows(c):
                 stats.bump("symmetry")
                 continue
             snap = self._snapshot()
-            if self._apply([(c, val)], stats):
+            if self._apply(ins, outs, stats):
                 self._dfs(idx + 1, out, stats)
             self._restore(snap)
+
+    def _start(self, ins: int, outs: int, stats: SearchStats) -> bool:
+        """A fresh state, every rule once over all k-spaces (so the root is a
+        fixpoint too), then the decisions ins and outs."""
+        self._init_state()
+        ok = all(self._linear_window(j, stats) for j in range(len(self.free_cols)))
+        if ok and self.config.count_pruning:
+            ok = all(
+                self._count_rules(i, self.full, stats)
+                for i in range(1, self.num_rel + 1)
+            )
+        return ok and self._apply(ins, outs, stats)
 
     def solve(self, prefix=()) -> tuple[list[tuple[int, ...]], SearchStats]:
         stats = SearchStats()
         if self.reason is not None:
             return [], stats
-        self._init_state()
         out: list[tuple[int, ...]] = []
-        decisions = [(f, OUT) for f in self.free_cols if not self.f_supp[f]]
-        decisions += list(prefix)
-        decisions += [(c, IN) for c in self.config.fix_in]
-        decisions += [(c, OUT) for c in self.config.fix_out]
-        if self._apply(decisions, stats):
+        ins = mask_of(c for c, val in prefix if val == IN) | mask_of(self.config.fix_in)
+        outs = mask_of(c for c, val in prefix if val == OUT) | mask_of(self.config.fix_out)
+        if self._start(ins, outs, stats):
             self._dfs(0, out, stats)
         return out, stats
 

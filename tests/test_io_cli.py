@@ -289,6 +289,52 @@ class TestCLI:
         assert code == 0
         assert "0 families" in capsys.readouterr().out
 
+    def test_search_text_stdout_is_one_line(self, tmp_path, capsys):
+        args = ["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1"]
+        assert main(args + ["--cache-dir", str(tmp_path / "c")]) == 0
+        assert capsys.readouterr().out == "30 families\n"
+
+    def test_search_json_x(self, tmp_path, capsys):
+        from clkset import search_all
+
+        code = main(
+            ["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1",
+             "--format", "json", "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        expected = search_all(geometry(3, 1, 2), 1)
+        assert data["families"] == [list(f) for f in expected.families]
+        assert data["reason"] is None
+        for key in ("nodes", "forced", "leaves", "prunes"):
+            assert data[key] == getattr(expected.stats, key)
+        assert data["leaves"] == 30
+        assert data["wall_seconds"] > 0
+
+    def test_search_json_window(self, tmp_path, capsys):
+        from clkset import nonexistence_window
+
+        code = main(
+            ["search", "--n", "4", "--q", "2", "--k", "1", "--window", "0", "1",
+             "--format", "json", "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        rows = nonexistence_window(geometry(4, 1, 2), 0, 1).rows
+        assert data["window"] == ["0", "1"]
+        assert data["total"] == 0
+        assert [r["x"] for r in data["rows"]] == [str(r.x) for r in rows]
+        assert [r["size"] for r in data["rows"]] == list(range(1, 15))
+        for got, row in zip(data["rows"], rows):
+            assert got["families"] == 0
+            assert got["reason"] == row.reason
+            assert got["within_bound"] == row.within_bound
+            assert got["skew_exclusion"] == {
+                "holds": row.skew_audit.holds,
+                "lhs": str(row.skew_audit.lhs),
+                "rhs": str(row.skew_audit.rhs),
+            }
+
     def test_search_refuses_zero_threads(self, capsys):
         assert main(
             ["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1", "--threads", "0"]

@@ -4,6 +4,7 @@ import pytest
 
 from clkset import (
     SearchConfig,
+    bundle_for,
     family,
     full_family,
     geometry,
@@ -229,3 +230,147 @@ class TestMaxDisjoint:
                     ):
                         best = max(best, r)
             assert max_disjoint_subfamily(family(pg32, ids)) == best
+
+
+def _engine(ctx, x, **config):
+    from clkset.search import _PropagateEngine
+
+    return _PropagateEngine(ctx, bundle_for(ctx), Fraction(x), SearchConfig(**config))
+
+
+def _decode(planes, m):
+    return sum((plane >> m & 1) << b for b, plane in enumerate(planes))
+
+
+def _within(lo, t, hi):
+    return t >= 0 and lo <= t <= hi
+
+
+def _check_fixpoint(eng):
+    """Recompute every counter and rule from the two masks alone: the
+    counters must match, and no rule may fail or force an undecided k-space."""
+    ins, outs = eng.in_mask, eng.out_mask
+    assert ins & outs == 0
+    assert eng.pend_in == eng.pend_out == 0
+    assert ins.bit_count() <= eng.target <= eng.total - outs.bit_count()
+    for i in range(1, eng.num_rel + 1):
+        for m, nbs in enumerate(eng.rel[i]):
+            t = (nbs & ins).bit_count()
+            a = eng.deg[i] - (nbs & outs).bit_count()
+            assert _decode(eng.tally[i], m) == t
+            assert _decode(eng.ceiling[i], m) == a
+            ok_in = _within(t, eng.t_in[i], a)
+            ok_out = _within(t, eng.t_out[i], a)
+            if ins >> m & 1 or outs >> m & 1:
+                tgt = eng.t_in[i] if ins >> m & 1 else eng.t_out[i]
+                assert ok_in if ins >> m & 1 else ok_out
+                assert t == a or tgt not in (t, a)  # saturation spent
+            else:
+                assert ok_in and ok_out
+    for j, f in enumerate(eng.free_cols):
+        acc = lo = hi = 0
+        for pcol, coef in eng.f_supp[j]:
+            if ins >> pcol & 1:
+                acc += coef
+            elif not outs >> pcol & 1:
+                lo, hi = lo + min(coef, 0), hi + max(coef, 0)
+        assert eng.acc[j] == acc
+        can_out = not ins >> f & 1 and acc + lo <= 0 <= acc + hi
+        can_in = not outs >> f & 1 and acc + lo <= eng.f_scale[j] <= acc + hi
+        assert can_out or can_in
+        if not (ins | outs) >> f & 1:
+            assert can_out and can_in
+
+
+class TestBitSlicedEngine:
+    @pytest.mark.parametrize(
+        "n,k,q,x", [(3, 1, 2, 2), (4, 1, 2, 1), (4, 2, 2, Fraction(3, 7))]
+    )
+    def test_counters_and_fixpoint_on_random_decisions(self, n, k, q, x):
+        import random
+
+        from clkset.search import SearchStats
+
+        ctx = geometry(n, k, q)
+        eng = _engine(ctx, x)
+        stats = SearchStats()
+        checked = 0
+        for seed in range(6):
+            rng = random.Random(seed)
+            assert eng._start(0, 0, stats)
+            _check_fixpoint(eng)
+            while eng.in_mask | eng.out_mask != eng.full:
+                undecided = [
+                    c for c in range(eng.total) if not (eng.in_mask | eng.out_mask) >> c & 1
+                ]
+                bit = 1 << rng.choice(undecided)
+                first = rng.random() < 0.5
+                snap = eng._snapshot()
+                for ins in (first, not first):
+                    if eng._apply(bit if ins else 0, 0 if ins else bit, stats):
+                        _check_fixpoint(eng)
+                        checked += 1
+                        break
+                    eng._restore(snap)
+                else:
+                    break  # both values fail: a dead end
+        assert checked >= 12
+
+    def test_leaf_with_undecided_coordinates_raises(self, pg32):
+        from clkset.search import SearchStats
+
+        eng = _engine(pg32, 1)
+        eng._init_state()
+        with pytest.raises(RuntimeError, match="undecided"):
+            eng._leaf([], SearchStats())
+
+    def test_tampered_counters_raise(self, pg32):
+        from clkset.search import SearchStats
+
+        eng = _engine(pg32, 1)
+        eng._init_state()
+        eng.tally[1] = [eng.full] * len(eng.tally[1])
+        with pytest.raises(RuntimeError, match="overflow"):
+            eng._apply(1, 0, SearchStats())
+        eng._init_state()
+        eng.ceiling[2] = [0] * len(eng.ceiling[2])
+        with pytest.raises(RuntimeError, match="underflow"):
+            eng._apply(0, 1, SearchStats())
+
+    def test_every_subset_of_pg23_lines_against_reference(self):
+        # in PG(2,3) every set of lines is a family: 2^13 at sizes 0..13
+        ctx = geometry(2, 1, 3)
+        found = 0
+        for size in range(14):
+            x = Fraction(size, 4)
+            ref = search_all(ctx, x, SearchConfig(engine="reference"))
+            fast = search_all(ctx, x, SearchConfig())
+            assert fast.families == ref.families
+            found += len(fast.families)
+        assert found == 2**13
+
+    def test_narrowed_pg32_x2_against_reference(self, pg32, pg32_bundle):
+        narrow = dict(fix_in=(0, 1, 2), fix_out=tuple(range(21, 35)))
+        ref = search_all(pg32, 2, SearchConfig(engine="reference", **narrow), pg32_bundle)
+        fast = search_all(pg32, 2, SearchConfig(**narrow), pg32_bundle)
+        assert fast.families == ref.families
+        assert len(fast.families) == 2
+
+    @pytest.mark.parametrize(
+        "n,k,q,x,count,digest",
+        [
+            (3, 1, 2, 1, 30, "1cfdb4ef35c847fe87b845088af72499f295a006c85be23c206d15571d98ffd6"),
+            (3, 1, 2, 2, 120, "4550625c52ed4504f87f2f64a5a38c8bb236645a7604f2dd946714de95afa93a"),
+            (3, 1, 2, 3, 120, "836ea888ecf4829b0ea205e2c8d414bb3d08a43f519dacb402af7a012bb3c54a"),
+            (3, 1, 3, 1, 80, "5657b94de1eca691bd41b1ca6e6bfb1054da96b7959a5ce1d18c722fe84a7920"),
+            (4, 2, 2, Fraction(3, 7), 31, "ad3f51584a1430084a693775276fac576f2106946d18e8e695abef5f925d8151"),
+        ],
+    )
+    def test_families_match_per_neighbour_engine(self, n, k, q, x, count, digest):
+        """sha256 of repr(families) as found by the earlier per-neighbour
+        engine (lists of neighbour ids and a FIFO queue)."""
+        import hashlib
+
+        result = search_all(geometry(n, k, q), x, SearchConfig())
+        assert len(result.families) == count
+        assert hashlib.sha256(repr(result.families).encode()).hexdigest() == digest
