@@ -25,6 +25,7 @@ from .geometry import GeometrySizeError
 from .io import (
     CLKSETError,
     DiskCache,
+    atomic_write,
     load_family,
     resolve_cache_dir,
     save_family,
@@ -203,7 +204,12 @@ def cmd_construct(args) -> int:
     except (CLKSETError, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    save_family(args.out, cand)
+    try:
+        save_family(args.out, cand)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+        return EXIT_INPUT
     print(f"wrote {len(cand)} k-spaces to {args.out}")
     return EXIT_OK
 
@@ -217,6 +223,14 @@ def cmd_search(args) -> int:
     except (ValueError, GeometrySizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            if not os.access(args.out, os.W_OK | os.X_OK):
+                raise PermissionError(f"{args.out} is not writable")
+        except OSError as exc:
+            print(f"error: cannot use output directory: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     _, bundle = _build_ctx(p, args.cache_dir)
     config = SearchConfig(threads=args.threads)
     summary_lines = []
@@ -292,17 +306,19 @@ def cmd_search(args) -> int:
         return EXIT_INPUT
     print(json.dumps(payload, indent=2) if args.format == "json" else text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for idx, fam in enumerate(families):
-            save_family(
-                os.path.join(args.out, f"family_{idx:04d}.clkset"),
-                CLCandidate(ctx, fam),
+        try:
+            for idx, fam in enumerate(families):
+                save_family(
+                    os.path.join(args.out, f"family_{idx:04d}.clkset"),
+                    CLCandidate(ctx, fam),
+                )
+            atomic_write(
+                os.path.join(args.out, "summary.txt"), "\n".join(summary_lines) + "\n"
             )
-        from .io import atomic_write
-
-        atomic_write(
-            os.path.join(args.out, "summary.txt"), "\n".join(summary_lines) + "\n"
-        )
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write to {args.out}: {reason}", file=sys.stderr)
+            return EXIT_INPUT
     return EXIT_OK
 
 

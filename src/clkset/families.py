@@ -371,38 +371,38 @@ def check_switching_pairs(cand: CLCandidate, pairs) -> CheckResult:
     return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(pairs)} supplied pairs")
 
 
-def _spread_meet_constant(cand: CLCandidate, spreads, masks) -> tuple[bool, object]:
+def _spread_meets(cand: CLCandidate, bundle: SchemeBundle, config: BatteryConfig):
+    """(spread list, |L meet S| for each spread S, exhaustive?) per battery config."""
+    spreads, masks, exhaustive = _spread_source(bundle, config)
+    return spreads, [(m & cand.mask).bit_count() for m in masks], exhaustive
+
+
+def _spread_meet_constant(spreads, meets) -> tuple[bool, object]:
     """Whether |L meet S| is constant over the given spreads; equivalent to
     checking every difference pair (S \\ S', S' \\ S) of the list."""
-    seen = None
-    seen_idx = 0
-    for idx, m in enumerate(masks):
-        meet = (m & cand.mask).bit_count()
-        if seen is None:
-            seen, seen_idx = meet, idx
-        elif meet != seen:
-            s = spreads[idx]
-            witness = (
-                tuple(c for c in spreads[seen_idx] if c not in s),
-                tuple(c for c in s if c not in spreads[seen_idx]),
-            )
-            return False, witness
-    return True, None
+    if len(set(meets)) < 2:
+        return True, None
+    s = spreads[next(idx for idx, meet in enumerate(meets) if meet != meets[0])]
+    return False, (
+        tuple(c for c in spreads[0] if c not in s),
+        tuple(c for c in s if c not in spreads[0]),
+    )
 
 
 def check_switching_sets(
-    cand: CLCandidate, bundle: SchemeBundle, config: BatteryConfig
+    cand: CLCandidate, bundle: SchemeBundle, config: BatteryConfig, meets=None
 ) -> CheckResult:
     """Switching-set balance over all spread-difference pairs inside
     (2k+1)-subspaces (the span-sized case uses the global spread list),
-    checked via constancy of the spread meets, which is the same condition."""
+    checked via constancy of the spread meets, which is the same condition.
+    `meets` is `_spread_meets(cand, bundle, config)` when already known."""
     ctx = cand.ctx
     p = ctx.params
     if p.n == 2 * p.k + 1:
-        spreads, masks, exhaustive = _spread_source(bundle, config)
+        spreads, meets, exhaustive = meets or _spread_meets(cand, bundle, config)
         if len(spreads) < 2:
             return CheckResult(Verdict.SKIPPED, note="fewer than two spreads known")
-        ok, witness = _spread_meet_constant(cand, spreads, masks)
+        ok, witness = _spread_meet_constant(spreads, meets)
         if not ok:
             return CheckResult(Verdict.FAIL, witness=witness)
         if exhaustive:
@@ -415,8 +415,8 @@ def check_switching_sets(
             spreads = ctx.spreads_within(sigma)
             if len(spreads) < 2:
                 continue
-            smasks = ctx.sigma_spread_masks(sigma)
-            ok, witness = _spread_meet_constant(cand, spreads, smasks)
+            smeets = [(m & cand.mask).bit_count() for m in ctx.sigma_spread_masks(sigma)]
+            ok, witness = _spread_meet_constant(spreads, smeets)
             if not ok:
                 return CheckResult(Verdict.FAIL, witness=("sigma", sigma.basis, witness))
             checked += 1
@@ -430,15 +430,16 @@ def check_switching_sets(
 
 
 def check_spread_intersections(
-    cand: CLCandidate, bundle: SchemeBundle, config: BatteryConfig
+    cand: CLCandidate, bundle: SchemeBundle, config: BatteryConfig, meets=None
 ) -> CheckResult:
-    """|L meet S| = x for every available k-spread S."""
+    """|L meet S| = x for every available k-spread S; `meets` is
+    `_spread_meets(cand, bundle, config)` when already known."""
     p = cand.ctx.params
     if (p.n + 1) % (p.k + 1):
         return CheckResult(
             Verdict.SKIPPED, note=f"no k-spreads: {p.k + 1} does not divide {p.n + 1}"
         )
-    spreads, masks, exhaustive = _spread_source(bundle, config)
+    spreads, meets, exhaustive = meets or _spread_meets(cand, bundle, config)
     x = cand.x
     if x.denominator != 1:
         return CheckResult(
@@ -447,8 +448,7 @@ def check_spread_intersections(
             note="spread meets are integers; non-integer x is impossible",
         )
     target = int(x)
-    for idx, m in enumerate(masks):
-        meet = (m & cand.mask).bit_count()
+    for idx, meet in enumerate(meets):
         if meet != target:
             return CheckResult(
                 Verdict.FAIL, witness=("spread", idx, "meet", meet, "expected", target)
@@ -500,6 +500,9 @@ _CHECKS = {
     "spread-intersections": check_spread_intersections,
 }
 
+# Checks that read one list of global spread meets when n = 2k+1.
+_SPREAD_MEETS = ("switching-sets", "spread-intersections")
+
 # Checks that hold vacuously when n < 2k+1, where no two k-spaces are disjoint.
 _NEED_DISJOINT_PAIRS = (
     "disjointness-counts",
@@ -520,6 +523,7 @@ def run_battery(
         config = BatteryConfig()
     report = BatteryReport(x=cand.x, size=len(cand))
     p = cand.ctx.params
+    meets = None
     for name in config.checks:
         if name not in _CHECKS:
             raise ValueError(f"unknown battery check: {name}")
@@ -527,6 +531,9 @@ def run_battery(
         if name in _NEED_DISJOINT_PAIRS and p.n < 2 * p.k + 1:
             note = f"no two {p.k}-spaces of PG({p.n},{p.q}) are disjoint"
             result = CheckResult(Verdict.SKIPPED, note=note)
+        elif name in _SPREAD_MEETS and p.n == 2 * p.k + 1:
+            meets = meets or _spread_meets(cand, bundle, config)
+            result = _CHECKS[name](cand, bundle, config, meets)
         else:
             result = _CHECKS[name](cand, bundle, config)
         result.seconds = time.perf_counter() - start

@@ -17,9 +17,13 @@ non-members among them) are lists of N-bit planes, one per binary digit, so
 deciding a k-space adds or subtracts its neighbour mask with a ripple carry,
 and a comparison against a target is one scan over the planes.  Forced
 decisions wait in two pending masks; a k-space pending both ways, or against
-its decided value, is a conflict.  Every rule is re-checked wherever its
-inputs change, the decided k-space's own window included, so a successful
-propagation reaches the same fixpoint in any order.
+its decided value, is a conflict.  Propagation runs in waves: a wave decides
+the whole pending set at once and then checks each rule once on what it
+changed (the size rule; per relation, the count rules on the wave and its
+neighbours; the linear rule of every free column whose support it touched).
+The rules only tighten as decisions are added, so a successful propagation
+reaches the same fixpoint however its decisions are grouped (chaotic
+iteration of monotone rules, as in AC-3: Mackworth, Artif. Intell. 8, 1977).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    forced: int = 0  # coordinates decided by propagation
+    forced: int = 0  # coordinates decided by propagation, in failed waves too
     leaves: int = 0
     prunes: dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
@@ -164,14 +168,18 @@ class _PropagateEngine:
         self.rel = bundle.relation_masks()
         pivots, free = bundle.incidence_rref()
         self.pivots = list(pivots)
+        self.pivot_mask = mask_of(pivots)
         # free columns by position j: column, scale L_f, (pivot, coef) support
         self.free_cols = [f for f, _, _ in free]
         self.f_scale = [scale for _, scale, _ in free]
         self.f_supp = [supp for _, _, supp in free]
-        self.pivot_supp: dict[int, list[tuple[int, int]]] = {c: [] for c in pivots}
+        # per pivot: its terms (j, coef) with coef < 0, with coef > 0, its js
+        self.pivot_terms = {c: ([], [], []) for c in pivots}
         for j, supp in enumerate(self.f_supp):
             for pcol, coef in supp:
-                self.pivot_supp[pcol].append((j, coef))
+                neg, pos, cols = self.pivot_terms[pcol]
+                (neg if coef < 0 else pos).append((j, coef))
+                cols.append(j)
         self.perm_maps = None
         if config.symmetry_reduce:
             self.perm_maps = ctx.coordinate_permutation_maps()
@@ -195,15 +203,8 @@ class _PropagateEngine:
         self.hi = [sum(c for _, c in supp if c > 0) for supp in self.f_supp]
 
     def _snapshot(self):
-        return (
-            self.in_mask,
-            self.out_mask,
-            [t[:] for t in self.tally],
-            [a[:] for a in self.ceiling],
-            self.acc[:],
-            self.lo[:],
-            self.hi[:],
-        )
+        tally, ceiling = [t[:] for t in self.tally], [a[:] for a in self.ceiling]
+        return self.in_mask, self.out_mask, tally, ceiling, self.acc[:], self.lo[:], self.hi[:]
 
     def _restore(self, snap):
         self.in_mask, self.out_mask, tally, ceiling, acc, lo, hi = snap
@@ -291,52 +292,57 @@ class _PropagateEngine:
             return True
         return self._push(bit, 0, stats) if can_in else self._push(0, bit, stats)
 
-    def _decide(self, c: int, val: int, stats: SearchStats) -> bool:
-        bit = 1 << c
-        if val == IN:
-            self.in_mask |= bit
-            if self.in_mask.bit_count() > self.target:
-                stats.bump("size")
-                return False
-        else:
-            self.out_mask |= bit
-            if self.total - self.out_mask.bit_count() < self.target:
-                stats.bump("size")
-                return False
+    def _wave(self, stats: SearchStats) -> bool:
+        """Decide every pending k-space at once, then check each rule once on
+        everything the wave changed; what that forces waits for the next wave."""
+        new_in, new_out = self.pend_in, self.pend_out
+        self.pend_in = self.pend_out = 0
+        self.in_mask |= new_in
+        self.out_mask |= new_out
+        n_in, n_out = self.in_mask.bit_count(), self.out_mask.bit_count()
+        if not n_in <= self.target <= self.total - n_out:
+            stats.bump("size")
+            return False
+        wave = new_in | new_out
         if self.config.count_pruning:
+            ins, outs = ids_of(new_in), ids_of(new_out)
             for i in range(1, self.num_rel + 1):
-                nbs = self.rel[i][c]
-                if val == IN:
-                    _add(self.tally[i], nbs)
-                else:
-                    _sub(self.ceiling[i], nbs)
-                if not self._count_rules(i, nbs | bit, stats):
+                rel, w = self.rel[i], wave
+                for c in ins:
+                    _add(self.tally[i], rel[c])
+                    w |= rel[c]
+                for c in outs:
+                    _sub(self.ceiling[i], rel[c])
+                    w |= rel[c]
+                if not self._count_rules(i, w, stats):
                     return False
-        for j, coef in self.pivot_supp.get(c, ()):
-            if val == IN:
-                self.acc[j] += coef
-            if coef < 0:
-                self.lo[j] -= coef
-            else:
-                self.hi[j] -= coef
-            if not self._linear_window(j, stats):
-                return False
-        return True
+        touched = set()
+        acc, lo, hi, scale = self.acc, self.lo, self.hi, self.f_scale
+        for c in ids_of(wave & self.pivot_mask):
+            neg, pos, cols = self.pivot_terms[c]
+            if new_in >> c & 1:
+                for j, coef in neg + pos:
+                    acc[j] += coef
+            for j, coef in neg:
+                lo[j] -= coef
+            for j, coef in pos:
+                hi[j] -= coef
+            touched.update(cols)
+        # a reachable interval still holding both 0 and L_f >= 1 decides nothing
+        return all(
+            self._linear_window(j, stats)
+            for j in touched
+            if acc[j] + lo[j] > 0 or acc[j] + hi[j] < scale[j]
+        )
 
     def _apply(self, ins: int, outs: int, stats: SearchStats) -> bool:
-        """Decide the k-spaces in ins and outs, then everything pending, to
-        the fixpoint.  Only propagated decisions count as forced."""
+        """Decide the k-spaces in ins and outs, then everything pending, in
+        waves to the fixpoint.  Only propagated decisions count as forced,
+        including those of a wave that then failed."""
         before = self.in_mask | self.out_mask
         ok = self._push(ins, outs, stats)
         while ok and (self.pend_in or self.pend_out):
-            if self.pend_in:
-                low = self.pend_in & -self.pend_in
-                self.pend_in ^= low
-                ok = self._decide(low.bit_length() - 1, IN, stats)
-            else:
-                low = self.pend_out & -self.pend_out
-                self.pend_out ^= low
-                ok = self._decide(low.bit_length() - 1, OUT, stats)
+            ok = self._wave(stats)
         decided = (self.in_mask | self.out_mask) & ~before
         stats.forced += (decided & ~(ins | outs)).bit_count()
         return ok
@@ -585,11 +591,13 @@ def nonexistence_window(
 ) -> WindowReport:
     """Search every admissible parameter strictly inside (lo, hi) and report
     the outcomes together with the closed-form bound verdicts."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi:
+        raise ValueError(f"empty window ({lo}, {hi}): need lo < hi")
     if bundle is None:
         bundle = bundle_for(ctx)
     p = ctx.params
     base = qbinom(p.n, p.k, p.q)
-    lo, hi = Fraction(lo), Fraction(hi)
     rows = []
     s = int(lo * base) + 1
     while Fraction(s, base) < hi:

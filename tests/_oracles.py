@@ -341,3 +341,85 @@ BATTERY_ORACLES = {
     "eigenspace-split": eigenspace_check_literal,
     "meet-distribution": meet_check_popcount,
 }
+
+
+# -- the spread checks' former loops -------------------------------------------
+# switching-sets and spread-intersections each counted |L meet S| over the
+# spread masks themselves; a battery now counts them once for both.
+
+
+def _meet_constant_loop(cand, spreads, masks):
+    seen = None
+    seen_idx = 0
+    for idx, m in enumerate(masks):
+        meet = (m & cand.mask).bit_count()
+        if seen is None:
+            seen, seen_idx = meet, idx
+        elif meet != seen:
+            s = spreads[idx]
+            witness = (
+                tuple(c for c in spreads[seen_idx] if c not in s),
+                tuple(c for c in s if c not in spreads[seen_idx]),
+            )
+            return False, witness
+    return True, None
+
+
+def switching_check_loop(cand, bundle, config):
+    from clkset.families import _spread_source
+    from clkset.geometry import GeometrySizeError
+
+    ctx = cand.ctx
+    p = ctx.params
+    if p.n == 2 * p.k + 1:
+        spreads, masks, exhaustive = _spread_source(bundle, config)
+        if len(spreads) < 2:
+            return Verdict.SKIPPED, None, "fewer than two spreads known"
+        ok, witness = _meet_constant_loop(cand, spreads, masks)
+        if not ok:
+            return Verdict.FAIL, witness, ""
+        if exhaustive:
+            return Verdict.PASS, None, f"{len(spreads)} spreads, all pairs"
+        return Verdict.SAMPLED_PASS, None, f"{len(spreads)} sampled spreads"
+    checked = 0
+    try:
+        for sigma in ctx.subspaces_of_dim(2 * p.k + 1):
+            spreads = ctx.spreads_within(sigma)
+            if len(spreads) < 2:
+                continue
+            ok, witness = _meet_constant_loop(cand, spreads, ctx.sigma_spread_masks(sigma))
+            if not ok:
+                return Verdict.FAIL, ("sigma", sigma.basis, witness), ""
+            checked += 1
+    except GeometrySizeError as exc:
+        return Verdict.SKIPPED, None, str(exc)
+    if checked == 0:
+        return Verdict.SKIPPED, None, "no switching pairs available"
+    return Verdict.PASS, None, f"spread pairs inside {checked} span-dimensional subspaces"
+
+
+def spread_intersections_check_loop(cand, bundle, config):
+    from clkset.families import _spread_source
+
+    p = cand.ctx.params
+    if (p.n + 1) % (p.k + 1):
+        return Verdict.SKIPPED, None, f"no k-spreads: {p.k + 1} does not divide {p.n + 1}"
+    spreads, masks, exhaustive = _spread_source(bundle, config)
+    x = cand.x
+    if x.denominator != 1:
+        note = "spread meets are integers; non-integer x is impossible"
+        return Verdict.FAIL, ("non-integer parameter", x), note
+    target = int(x)
+    for idx, m in enumerate(masks):
+        meet = (m & cand.mask).bit_count()
+        if meet != target:
+            return Verdict.FAIL, ("spread", idx, "meet", meet, "expected", target), ""
+    if exhaustive:
+        return Verdict.PASS, None, f"all {len(spreads)} spreads"
+    return Verdict.SAMPLED_PASS, None, f"{len(spreads)} sampled spreads"
+
+
+SPREAD_ORACLES = {
+    "switching-sets": switching_check_loop,
+    "spread-intersections": spread_intersections_check_loop,
+}

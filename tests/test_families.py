@@ -5,6 +5,7 @@ import pytest
 
 from clkset import (
     BatteryConfig,
+    BatteryDisagreement,
     FamilyError,
     Verdict,
     bundle_for,
@@ -29,7 +30,7 @@ from clkset.families import (
     check_switching_pairs,
 )
 from clkset.qformulas import hyperplane_family_parameter, parameter_range
-from _oracles import BATTERY_ORACLES
+from _oracles import BATTERY_ORACLES, SPREAD_ORACLES
 
 
 class TestConstructors:
@@ -383,3 +384,40 @@ class TestIntegerChecksMatchOracles:
         res = check_spread_intersections(swapped, pg32_bundle, BatteryConfig())
         assert res.verdict is Verdict.FAIL
         assert res.witness[-2:] == ("expected", 1) and type(res.witness[-1]) is int
+
+
+class TestSpreadMeetsMatchOracles:
+    """When n = 2k+1 a battery counts the global spread meets once for
+    switching-sets and spread-intersections; each check still gives the
+    (verdict, witness, note) of the loop it used to run on its own, in
+    either order and under both spread modes."""
+
+    @pytest.mark.parametrize(
+        "n,k,q,mode",
+        [
+            (3, 1, 2, "auto"),
+            (3, 1, 2, "reduced"),
+            (3, 1, 3, "auto"),
+            (3, 1, 3, "reduced"),
+            (5, 1, 2, "auto"),
+        ],
+    )
+    def test_roster(self, n, k, q, mode):
+        ctx = geometry(n, k, q)
+        bundle = bundle_for(ctx)
+        roster = _oracle_roster(ctx, random.Random(n * 100 + k * 10 + q))
+        verdicts = set()
+        for checks in (tuple(SPREAD_ORACLES), tuple(reversed(SPREAD_ORACLES))):
+            config = BatteryConfig(checks=checks, spread_mode=mode)
+            for cand in roster:
+                try:
+                    report = run_battery(cand, bundle, config)
+                except BatteryDisagreement as exc:
+                    report = exc.report
+                for name, oracle in SPREAD_ORACLES.items():
+                    res = report.results[name]
+                    verdict, witness, note = oracle(cand, bundle, config)
+                    got = (res.verdict, repr(res.witness), res.note)
+                    assert got == (verdict, repr(witness), note), (name, cand.ids[:8])
+                    verdicts.add((name, verdict is Verdict.FAIL))
+        assert verdicts == {(name, v) for name in SPREAD_ORACLES for v in (True, False)}

@@ -354,6 +354,58 @@ class TestCLI:
         assert code == 2
         assert "requires --n --q --k" in capsys.readouterr().err
 
+    def test_search_unusable_out_refused_before_search(self, tmp_path, capsys, monkeypatch):
+        import clkset.cli
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking the output directory")
+
+        monkeypatch.setattr(clkset.cli, "search_all", no_search)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(
+            ["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1",
+             "--out", str(blocker / "sub"), "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_search_write_failure_exit_code(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        (out_dir / "family_0000.clkset").mkdir(parents=True)  # where a file goes
+        code = main(
+            ["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1",
+             "--out", str(out_dir), "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "30 families\n"
+        assert captured.err.startswith("error: ")
+
+    def test_construct_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "f.clkset")
+        code = main(
+            ["construct", "--kind", "pencil", "--n", "3", "--q", "2", "--k", "1", "--out", out]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not os.path.exists(tmp_path / "missing")
+
+    def test_search_refuses_empty_window(self, tmp_path, capsys):
+        for lo, hi in (("2", "1"), ("1", "1")):
+            code = main(
+                ["search", "--n", "3", "--q", "2", "--k", "1", "--window", lo, hi,
+                 "--cache-dir", str(tmp_path / "c")]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "empty window" in captured.err
+
     def test_zero_rows_rejected(self, pg32):
         text = "CLKSET v1\n3 2 1\n0 0 0 0 0 0 0 0\n"
         with pytest.raises(CLKSETError):

@@ -148,6 +148,11 @@ class TestSearchPG32:
         assert report.all_empty
         assert all(row.reason is not None for row in report.rows)
 
+    def test_empty_window_refused(self, pg32, pg32_bundle):
+        for lo, hi in ((2, 1), (1, 1), (Fraction(3, 2), Fraction(3, 2))):
+            with pytest.raises(ValueError, match="empty window"):
+                nonexistence_window(pg32, lo, hi, SearchConfig(), pg32_bundle)
+
     def test_battery_failure_raises(self, pg32, pg32_bundle, monkeypatch):
         import clkset.search
         from clkset.families import BatteryReport, CheckResult, Verdict
@@ -374,3 +379,57 @@ class TestBitSlicedEngine:
         result = search_all(geometry(n, k, q), x, SearchConfig())
         assert len(result.families) == count
         assert hashlib.sha256(repr(result.families).encode()).hexdigest() == digest
+
+
+class TestWavePropagation:
+    @pytest.mark.parametrize(
+        "n,k,q,x,nodes,count",
+        [
+            (4, 1, 2, Fraction(4, 3), 832, 0),
+            (4, 1, 2, Fraction(5, 3), 2915, 0),
+            (3, 1, 3, 1, 225, 80),
+            (4, 1, 2, 1, 59, 31),
+            (3, 1, 2, 2, 1635, 120),
+            (4, 2, 2, Fraction(3, 7), 66, 31),
+            (3, 1, 4, 1, 659, 170),
+        ],
+    )
+    def test_nodes_match_per_decision_engine(self, n, k, q, x, nodes, count):
+        """Node counts of the earlier engine, which decided one pending
+        k-space at a time: every successful propagation reaches the same
+        fixpoint, so the search tree is the same."""
+        fams, stats = _engine(geometry(n, k, q), x).solve()
+        assert (stats.nodes, len(fams)) == (nodes, count)
+
+    @pytest.mark.parametrize("n,k,q,x", [(4, 1, 2, Fraction(4, 3)), (3, 1, 2, 2)])
+    def test_restore_after_failed_wave(self, n, k, q, x):
+        """A propagation that fails after some waves has moved the masks,
+        the counter planes and the linear accumulators; _restore puts every
+        one of them back to the snapshot, which stays a fixpoint."""
+        import random
+
+        from clkset.geometry import ids_of
+        from clkset.search import SearchStats
+
+        eng = _engine(geometry(n, k, q), x)
+        stats = SearchStats()
+        moved = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            assert eng._start(0, 0, stats)
+            while eng.in_mask | eng.out_mask != eng.full:
+                c = rng.choice(ids_of(eng.full & ~(eng.in_mask | eng.out_mask)))
+                snap = eng._snapshot()
+                for ins in rng.sample((True, False), 2):
+                    if eng._apply(1 << c if ins else 0, 0 if ins else 1 << c, stats):
+                        break
+                    changed = [a != b for a, b in zip(eng._snapshot(), snap)]
+                    # both masks, both counters and the linear rule moved
+                    moved += all(changed[:4]) and any(changed[4:])
+                    eng._restore(snap)
+                    assert eng._snapshot() == snap
+                    assert eng.pend_in == eng.pend_out == 0
+                    _check_fixpoint(eng)
+                else:
+                    break  # both values fail: a dead end
+        assert moved >= 5
