@@ -64,6 +64,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from None
 
 
+def _index(value: int, count: int, what: str) -> int:
+    """value as an index into count items; Python's negative indexing refused."""
+    if not 0 <= value < count:
+        raise ValueError(f"{what} {value} out of range 0..{count - 1}")
+    return value
+
+
 def _emit(data: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(data, indent=2, default=str))
@@ -193,9 +200,13 @@ def cmd_construct(args) -> int:
 
             ctx = geometry(p.n, p.k, p.q)
             if args.kind == "pencil":
-                cand = point_pencil_family(ctx, args.point_id)
+                point = _index(args.point_id, len(ctx.points), "--point-id")
+                cand = point_pencil_family(ctx, point)
             elif args.kind == "hyperplane":
-                cand = hyperplane_family(ctx, ctx.hyperplanes()[args.hyperplane_id])
+                hyps = ctx.hyperplanes()
+                cand = hyperplane_family(
+                    ctx, hyps[_index(args.hyperplane_id, len(hyps), "--hyperplane-id")]
+                )
             elif args.kind == "spread":
                 cand = CLCandidate(ctx, ctx.construct_spread())
             else:
@@ -278,7 +289,7 @@ def cmd_search(args) -> int:
             payload.update(window=[str(lo), str(hi)], rows=rows, total=total)
             text = f"{total} families"
             families = []
-        elif args.x is not None:
+        else:
             result = search_all(ctx, args.x, config, bundle)
             families = result.families
             stats = result.stats
@@ -298,9 +309,6 @@ def cmd_search(args) -> int:
                 wall_seconds=stats.wall_seconds,
             )
             text = f"{len(families)} families"
-        else:
-            print("error: provide --x or --window", file=sys.stderr)
-            return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -364,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="exhaustively search a parameter or window")
     add_params(sp)
-    sp.add_argument("--x", type=_fraction, default=None)
-    sp.add_argument("--window", nargs=2, type=_fraction, default=None)
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--x", type=_fraction, default=None)
+    target.add_argument("--window", nargs=2, type=_fraction, default=None)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.add_argument("--cache-dir", default=None)

@@ -231,8 +231,8 @@ class BatteryConfig:
 def _spread_source(bundle: SchemeBundle, config: BatteryConfig):
     """(spread list, their id-masks, exhaustive?) per battery config."""
     if config.spread_mode == "reduced":
-        spreads = bundle.ctx.permuted_spread_sample()
-        return spreads, [mask_of(s) for s in spreads], False
+        spreads, masks = bundle.spread_sample()
+        return spreads, masks, False
     spreads, exhaustive = bundle.spreads()
     return spreads, bundle.spread_masks(), exhaustive
 

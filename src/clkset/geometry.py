@@ -176,7 +176,6 @@ class GeometryCtx:
         self._mask_cache: dict[tuple[tuple[int, ...], ...], int] = {}
         self._sub_spread_cache: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
         self._sub_spread_masks: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-        self._perm_maps: list[tuple[int, ...]] | None = None
         self._bundle = None  # the scheme.SchemeBundle of bundle_for
 
     # -- enumeration ------------------------------------------------------
@@ -303,10 +302,6 @@ class GeometryCtx:
         )
 
     # -- spreads and switching sets ----------------------------------------
-
-    def spread_size(self) -> int:
-        n, k, q = self.params.n, self.params.k, self.params.q
-        return (q ** (n + 1) - 1) // (q ** (k + 1) - 1)
 
     def _require_spread_divisibility(self) -> None:
         n, k = self.params.n, self.params.k
@@ -437,25 +432,14 @@ class GeometryCtx:
             ]
         return self._sub_spread_masks[sigma.basis]
 
-    # -- collineations from coordinate permutations --------------------------
+    # -- spreads sampled by coordinate permutations ---------------------------
 
-    def coordinate_permutation_maps(
-        self, cap: int = DEFAULT_PERMUTATION_CAP
-    ) -> list[tuple[int, ...]]:
-        """Id permutations of the k-spaces induced by permuting the n+1
-        coordinates.  Small-geometry tool for sampled spread generation and
-        optional search symmetry reduction."""
-        if self._perm_maps is None:
-            self._perm_maps = [
-                tuple(self._permuted_id(c, perm) for c in range(len(self.kspaces)))
-                for perm in self._coordinate_permutations(cap)
-            ]
-        return self._perm_maps
-
-    def _coordinate_permutations(self, cap: int):
+    def _coordinate_permutations(self):
         count = math.factorial(self.params.n + 1)
-        if count > cap:
-            raise GeometrySizeError(f"{count} coordinate permutations exceed cap {cap}")
+        if count > DEFAULT_PERMUTATION_CAP:
+            raise GeometrySizeError(
+                f"{count} coordinate permutations exceed cap {DEFAULT_PERMUTATION_CAP}"
+            )
         return itertools.permutations(range(self.params.n + 1))
 
     def _permuted_id(self, c: int, perm) -> int:
@@ -469,7 +453,7 @@ class GeometryCtx:
         geometries too large for exhaustive enumeration."""
         base = self.construct_spread()
         spreads = {base}
-        for perm in self._coordinate_permutations(DEFAULT_PERMUTATION_CAP):
+        for perm in self._coordinate_permutations():
             spreads.add(tuple(sorted(self._permuted_id(c, perm) for c in base)))
         return sorted(spreads)
 

@@ -177,6 +177,7 @@ class SchemeBundle:
         self._spreads: list[tuple[int, ...]] | None = None
         self._spreads_exhaustive: bool | None = None
         self._spread_masks: list[int] | None = None
+        self._spread_sample: tuple[list[tuple[int, ...]], list[int]] | None = None
 
     @property
     def params(self):
@@ -220,7 +221,7 @@ class SchemeBundle:
                         self._spreads = self.ctx.enumerate_all_spreads()
                         self._spreads_exhaustive = True
                     except GeometrySizeError:
-                        self._spreads = self.ctx.permuted_spread_sample()
+                        self._spreads = self.spread_sample()[0]
                         self._spreads_exhaustive = False
                     if self.cache:
                         self.cache.put(
@@ -232,6 +233,14 @@ class SchemeBundle:
                             },
                         )
         return self._spreads, bool(self._spreads_exhaustive)
+
+    def spread_sample(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The field-reduction spread and its coordinate-permutation images,
+        with their id-masks, built once per geometry."""
+        if self._spread_sample is None:
+            spreads = self.ctx.permuted_spread_sample()
+            self._spread_sample = spreads, [mask_of(s) for s in spreads]
+        return self._spread_sample
 
     def spread_masks(self) -> list[int]:
         """Bitmask (over k-space ids) of each spread in spreads()."""

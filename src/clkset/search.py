@@ -1,14 +1,17 @@
 """Exhaustive search for families with a given parameter.
 
-The main engine branches only on the pivot columns of the incidence matrix's
-RREF: the remaining coordinates of any admissible characteristic vector are
-linear functions of the pivot coordinates (orthogonality to the kernel of A),
-so they are forced, interval-pruned while partially decided, and verified on
-completion.  On top of that, every decided k-space carries exact meet-count
-targets per relation; running counts against those targets prune and force
-aggressively.  Both rule families are implied by membership, so the search is
-exhaustive: it returns exactly the families whose battery passes, and every
-returned family is battery-verified before it is reported.
+There is one engine, and its one setting is the number of worker processes
+(`SearchConfig.threads`), which partitions the tree at the root without
+changing the families or their order.  It branches only on the pivot columns
+of the incidence matrix's RREF: the remaining coordinates of any admissible
+characteristic vector are linear functions of the pivot coordinates
+(orthogonality to the kernel of A), so they are forced, interval-pruned while
+partially decided, and verified on completion.  On top of that, every decided
+k-space carries exact meet-count targets per relation; running counts against
+those targets prune and force aggressively.  Both rule families are implied by
+membership, so the search is exhaustive: it returns exactly the families whose
+battery passes, and every returned family is battery-verified before it is
+reported.
 
 The state is two N-bit masks, members and non-members.  The meet counts are
 bit-sliced (Knuth, TAOCP 4A, 7.1.3): per relation i, the tally T_i (members
@@ -24,6 +27,7 @@ neighbours; the linear rule of every free column whose support it touched).
 The rules only tighten as decisions are added, so a successful propagation
 reaches the same fixpoint however its decisions are grouped (chaotic
 iteration of monotone rules, as in AC-3: Mackworth, Artif. Intell. 8, 1977).
+The test suite checks the engine against a pruning-free subset enumeration.
 """
 
 from __future__ import annotations
@@ -44,20 +48,12 @@ from .qformulas import (
 )
 from .scheme import SchemeBundle, bundle_for
 
-IN, OUT = 1, 2
-
 DEFAULT_SEARCH_CAP = 2000
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    count_pruning: bool = True
-    symmetry_reduce: bool = False
-    engine: str = "propagate"  # or "reference"
     threads: int = 1
-    fix_in: tuple[int, ...] = ()
-    fix_out: tuple[int, ...] = ()
-    max_kspaces: int = DEFAULT_SEARCH_CAP
 
 
 @dataclass
@@ -118,20 +114,10 @@ def _sub(planes: list[int], bits: int) -> None:
 
 
 class _PropagateEngine:
-    def __init__(
-        self,
-        ctx: GeometryCtx,
-        bundle: SchemeBundle,
-        x: Fraction,
-        config: SearchConfig,
-    ):
-        self.ctx = ctx
-        self.bundle = bundle
-        self.config = config
+    def __init__(self, ctx: GeometryCtx, bundle: SchemeBundle, x: Fraction):
         p = ctx.params
         self.total = len(ctx.kspaces)
         self.full = (1 << self.total) - 1
-        self.x = x
         self.reason: str | None = None
         size = x * qbinom(p.n, p.k, p.q)
         self.target = _int_or_none(size)
@@ -180,9 +166,6 @@ class _PropagateEngine:
                 neg, pos, cols = self.pivot_terms[pcol]
                 (neg if coef < 0 else pos).append((j, coef))
                 cols.append(j)
-        self.perm_maps = None
-        if config.symmetry_reduce:
-            self.perm_maps = ctx.coordinate_permutation_maps()
 
     # -- mutable search state ------------------------------------------------
 
@@ -304,18 +287,17 @@ class _PropagateEngine:
             stats.bump("size")
             return False
         wave = new_in | new_out
-        if self.config.count_pruning:
-            ins, outs = ids_of(new_in), ids_of(new_out)
-            for i in range(1, self.num_rel + 1):
-                rel, w = self.rel[i], wave
-                for c in ins:
-                    _add(self.tally[i], rel[c])
-                    w |= rel[c]
-                for c in outs:
-                    _sub(self.ceiling[i], rel[c])
-                    w |= rel[c]
-                if not self._count_rules(i, w, stats):
-                    return False
+        ins, outs = ids_of(new_in), ids_of(new_out)
+        for i in range(1, self.num_rel + 1):
+            rel, w = self.rel[i], wave
+            for c in ins:
+                _add(self.tally[i], rel[c])
+                w |= rel[c]
+            for c in outs:
+                _sub(self.ceiling[i], rel[c])
+                w |= rel[c]
+            if not self._count_rules(i, w, stats):
+                return False
         touched = set()
         acc, lo, hi, scale = self.acc, self.lo, self.hi, self.f_scale
         for c in ids_of(wave & self.pivot_mask):
@@ -356,14 +338,6 @@ class _PropagateEngine:
                 return idx
         return None
 
-    def _symmetry_allows(self, c: int) -> bool:
-        if self.perm_maps is None or self.in_mask:
-            return True
-        below = (1 << c) - 1
-        if self.out_mask & below != below:
-            return True  # smallest member not pinned yet; cannot prune
-        return all(mapping[c] >= c for mapping in self.perm_maps)
-
     def _leaf(self, out: list, stats: SearchStats) -> None:
         stats.leaves += 1
         if self.in_mask | self.out_mask != self.full:
@@ -371,13 +345,6 @@ class _PropagateEngine:
         if self.in_mask.bit_count() != self.target:
             stats.bump("size")
             return
-        if not self.config.count_pruning:
-            for i in range(1, self.num_rel + 1):
-                for c, nbs in enumerate(self.rel[i]):
-                    tgt = self.t_in[i] if self.in_mask >> c & 1 else self.t_out[i]
-                    if (nbs & self.in_mask).bit_count() != tgt:
-                        stats.bump("count")
-                        return
         out.append(ids_of(self.in_mask))
 
     def _dfs(self, start: int, out: list, stats: SearchStats) -> None:
@@ -390,9 +357,6 @@ class _PropagateEngine:
         stats.nodes += 1
         bit = 1 << c
         for ins, outs in ((bit, 0), (0, bit)):
-            if ins and not self._symmetry_allows(c):
-                stats.bump("symmetry")
-                continue
             snap = self._snapshot()
             if self._apply(ins, outs, stats):
                 self._dfs(idx + 1, out, stats)
@@ -402,102 +366,44 @@ class _PropagateEngine:
         """A fresh state, every rule once over all k-spaces (so the root is a
         fixpoint too), then the decisions ins and outs."""
         self._init_state()
-        ok = all(self._linear_window(j, stats) for j in range(len(self.free_cols)))
-        if ok and self.config.count_pruning:
-            ok = all(
+        return (
+            all(self._linear_window(j, stats) for j in range(len(self.free_cols)))
+            and all(
                 self._count_rules(i, self.full, stats)
                 for i in range(1, self.num_rel + 1)
             )
-        return ok and self._apply(ins, outs, stats)
+            and self._apply(ins, outs, stats)
+        )
 
-    def solve(self, prefix=()) -> tuple[list[tuple[int, ...]], SearchStats]:
+    def solve(self, ins: int = 0, outs: int = 0):
+        """The families containing the k-spaces in ins and avoiding those in outs."""
         stats = SearchStats()
         if self.reason is not None:
             return [], stats
         out: list[tuple[int, ...]] = []
-        ins = mask_of(c for c, val in prefix if val == IN) | mask_of(self.config.fix_in)
-        outs = mask_of(c for c, val in prefix if val == OUT) | mask_of(self.config.fix_out)
         if self._start(ins, outs, stats):
             self._dfs(0, out, stats)
         return out, stats
 
-    def root_prefixes(self, width: int) -> list[tuple[tuple[int, int], ...]]:
-        """Assignments of the first few pivots, for tree partitioning."""
-        prefixes: list[tuple[tuple[int, int], ...]] = [()]
-        used = 0
-        for pcol in self.pivots:
-            if len(prefixes) >= width or used >= 8:
+    def root_prefixes(self, width: int) -> list[tuple[int, int]]:
+        """(ins, outs) assignments of the first few pivots, for tree partitioning."""
+        prefixes = [(0, 0)]
+        for pcol in self.pivots[:8]:
+            if len(prefixes) >= width:
                 break
+            bit = 1 << pcol
             prefixes = [
-                pref + ((pcol, val),) for pref in prefixes for val in (IN, OUT)
+                pair for ins, outs in prefixes for pair in ((ins | bit, outs), (ins, outs | bit))
             ]
-            used += 1
         return prefixes
 
 
-def _reference_solve(
-    ctx: GeometryCtx, bundle: SchemeBundle, x: Fraction, config: SearchConfig
-) -> tuple[list[tuple[int, ...]], SearchStats, str | None]:
-    """Plain subset enumeration with only size bounds: the pruning-free
-    reference engine, feasible for small geometries (and restricted runs)."""
-    p = ctx.params
-    stats = SearchStats()
-    size = x * qbinom(p.n, p.k, p.q)
-    target = _int_or_none(size)
-    if target is None:
-        return [], stats, f"non-integral family size {size}"
-    total = len(ctx.kspaces)
-    if not 0 <= target <= total:
-        return [], stats, f"family size {target} out of range"
-    disj = bundle.disjointness_masks()
-    t_in = meet_count_target(p.k + 1, p, x, member=True)
-    t_out = meet_count_target(p.k + 1, p, x, member=False)
-    chosen: list[int] = []
-    found: list[tuple[int, ...]] = []
-    fixed_in = set(config.fix_in)
-    fixed_out = set(config.fix_out)
-
-    def leaf_ok(mask: int, ids: tuple[int, ...]) -> bool:
-        for c in ids:
-            if (disj[c] & mask).bit_count() != t_in:
-                return False
-        for c in range(total):
-            if not (mask >> c) & 1 and (disj[c] & mask).bit_count() != t_out:
-                return False
-        return True
-
-    def rec(pos: int, mask: int) -> None:
-        stats.nodes += 1
-        if len(chosen) == target:
-            stats.leaves += 1
-            ids = tuple(chosen)
-            if leaf_ok(mask, ids):
-                found.append(ids)
-            return
-        if pos == total or len(chosen) + (total - pos) < target:
-            stats.bump("size")
-            return
-        if pos not in fixed_out:
-            chosen.append(pos)
-            rec(pos + 1, mask | (1 << pos))
-            chosen.pop()
-        if pos not in fixed_in:
-            rec(pos + 1, mask)
-
-    rec(0, 0)
-    found.sort()
-    return found, stats, None
-
-
 def _solve_worker(args):
-    n, k, q, x_num, x_den, config, prefix = args
+    n, k, q, x_num, x_den, ins, outs = args
     from .geometry import geometry
 
     ctx = geometry(n, k, q)
-    bundle = bundle_for(ctx)
-    engine = _PropagateEngine(ctx, bundle, Fraction(x_num, x_den), config)
-    fams, stats = engine.solve(prefix)
-    return fams, stats
+    return _PropagateEngine(ctx, bundle_for(ctx), Fraction(x_num, x_den)).solve(ins, outs)
 
 
 def search_all(
@@ -511,49 +417,39 @@ def search_all(
         config = SearchConfig()
     if config.threads < 1:
         raise ValueError(f"need at least one thread, got {config.threads}")
-    if bundle is None:
-        bundle = bundle_for(ctx)
     total = len(ctx.kspaces)
-    if total > config.max_kspaces:
+    if total > DEFAULT_SEARCH_CAP:
         raise ValueError(
             f"geometry has {total} k-spaces, exceeding the search cap "
-            f"{config.max_kspaces}"
+            f"{DEFAULT_SEARCH_CAP}"
         )
+    if bundle is None:
+        bundle = bundle_for(ctx)
     x = Fraction(x)
     started = time.perf_counter()
-    if config.engine == "reference":
-        fams, stats, reason = _reference_solve(ctx, bundle, x, config)
-    else:
-        engine = _PropagateEngine(ctx, bundle, x, config)
-        reason = engine.reason
-        if reason is not None:
-            fams, stats = [], SearchStats()
-        elif config.threads > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    engine = _PropagateEngine(ctx, bundle, x)
+    reason = engine.reason
+    if reason is not None:
+        fams, stats = [], SearchStats()
+    elif config.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            prefixes = engine.root_prefixes(config.threads * 2)
-            p = ctx.params
-            jobs = [
-                (p.n, p.k, p.q, x.numerator, x.denominator, config, pref)
-                for pref in prefixes
-            ]
-            fams = []
-            stats = SearchStats()
-            # every worker is forked up front: never more than CPUs or jobs
-            workers = min(config.threads, os.cpu_count() or 1, len(prefixes))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for sub_fams, sub_stats in pool.map(_solve_worker, jobs):
-                    fams.extend(sub_fams)
-                    stats = stats.merged(sub_stats)
-        else:
-            fams, stats = engine.solve()
-        if config.symmetry_reduce and reason is None:
-            maps = ctx.coordinate_permutation_maps()
-            closed = set(fams)
-            for fam in fams:
-                for mapping in maps:
-                    closed.add(tuple(sorted(mapping[c] for c in fam)))
-            fams = list(closed)
+        prefixes = engine.root_prefixes(config.threads * 2)
+        p = ctx.params
+        jobs = [
+            (p.n, p.k, p.q, x.numerator, x.denominator, ins, outs)
+            for ins, outs in prefixes
+        ]
+        fams = []
+        stats = SearchStats()
+        # every worker is forked up front: never more than CPUs or jobs
+        workers = min(config.threads, os.cpu_count() or 1, len(prefixes))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for sub_fams, sub_stats in pool.map(_solve_worker, jobs):
+                fams.extend(sub_fams)
+                stats = stats.merged(sub_stats)
+    else:
+        fams, stats = engine.solve()
     fams = sorted(set(fams))
     battery = BatteryConfig()
     for fam in fams:
@@ -590,7 +486,8 @@ def nonexistence_window(
     bundle: SchemeBundle | None = None,
 ) -> WindowReport:
     """Search every admissible parameter strictly inside (lo, hi) and report
-    the outcomes together with the closed-form bound verdicts."""
+    the outcomes together with the closed-form bound verdicts; a window
+    holding no admissible parameter is refused."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError(f"empty window ({lo}, {hi}): need lo < hi")
@@ -602,26 +499,27 @@ def nonexistence_window(
     s = int(lo * base) + 1
     while Fraction(s, base) < hi:
         x = Fraction(s, base)
-        if x > lo:
-            result = search_all(ctx, x, config, bundle)
-            bound = None
-            if p.n >= 3 * p.k + 2:
-                bound = within_classification_bound(p, x)
-            audit = None
-            if p.n > 2 * p.k + 1:
-                c = int(x) if x.denominator == 1 else int(x) + 1
-                audit = excludes_skew_subfamily(c, p, x)
-            rows.append(
-                WindowRow(
-                    x=x,
-                    size=s,
-                    families=len(result.families),
-                    reason=result.reason,
-                    within_bound=bound,
-                    skew_audit=audit,
-                )
+        result = search_all(ctx, x, config, bundle)
+        bound = None
+        if p.n >= 3 * p.k + 2:
+            bound = within_classification_bound(p, x)
+        audit = None
+        if p.n > 2 * p.k + 1:
+            c = int(x) if x.denominator == 1 else int(x) + 1
+            audit = excludes_skew_subfamily(c, p, x)
+        rows.append(
+            WindowRow(
+                x=x,
+                size=s,
+                families=len(result.families),
+                reason=result.reason,
+                within_bound=bound,
+                skew_audit=audit,
             )
+        )
         s += 1
+    if not rows:
+        raise ValueError(f"no parameter s/{base} lies strictly inside ({lo}, {hi})")
     return WindowReport(rows=rows)
 
 

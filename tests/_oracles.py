@@ -9,7 +9,7 @@ from math import gcd, lcm
 
 from clkset import GeometryCtx
 from clkset.families import Verdict
-from clkset.qformulas import eigenvalue_p, meet_count_target, valence
+from clkset.qformulas import eigenvalue_p, meet_count_target, qbinom, valence
 from clkset.scheme import q_disjoint_coefficient, v1_eigen_check
 
 
@@ -76,6 +76,71 @@ def relation_masks_pairwise(ctx: GeometryCtx) -> list[list[int]]:
             rel[i][c] |= 1 << d
             rel[i][d] |= 1 << c
     return rel
+
+
+def reference_families(ctx: GeometryCtx, x, fix_in=(), fix_out=()):
+    """The families with parameter x that contain every k-space in fix_in and
+    none in fix_out, by plain subset enumeration with only size bounds: the
+    pruning-free reference for the search engine.  A set of the family size
+    is kept when each member is disjoint from exactly the member target of
+    members and each non-member from the non-member target, with disjointness
+    read off the point masks."""
+    p = ctx.params
+    x = Fraction(x)
+    size = x * qbinom(p.n, p.k, p.q)
+    total = len(ctx.kspaces)
+    if size.denominator != 1 or not 0 <= size <= total:
+        return ()
+    target = int(size)
+    masks = ctx.kspace_masks
+    disj = [sum(1 << d for d in range(total) if not m & masks[d]) for m in masks]
+    t_in = meet_count_target(p.k + 1, p, x, member=True)
+    t_out = meet_count_target(p.k + 1, p, x, member=False)
+    need = sum(1 << c for c in fix_in)
+    chosen: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def rec(pos: int, mask: int) -> None:
+        if len(chosen) == target:
+            if mask & need == need and all(
+                (disj[c] & mask).bit_count() == (t_in if mask >> c & 1 else t_out)
+                for c in range(total)
+            ):
+                found.append(tuple(chosen))
+            return
+        if len(chosen) + (total - pos) < target:
+            return
+        if pos not in fix_out:
+            chosen.append(pos)
+            rec(pos + 1, mask | 1 << pos)
+            chosen.pop()
+        if pos not in fix_in:
+            rec(pos + 1, mask)
+
+    rec(0, 0)
+    return tuple(sorted(found))
+
+
+def coordinate_permutation_images(ctx: GeometryCtx, ids) -> set[tuple[int, ...]]:
+    """Images of the k-spaces in ids under every permutation of the n+1
+    coordinates, each a sorted id tuple: every point is permuted and
+    rescaled to leading entry 1, and each k-space is found by its point set."""
+    field = ctx.field
+    point_id = {pt: i for i, pt in enumerate(ctx.points)}
+    kspace_id = {m: c for c, m in enumerate(ctx.kspace_masks)}
+
+    def moved_point(pt, perm) -> int:
+        vec = [pt[j] for j in perm]
+        lead = field.inv(next(v for v in vec if v))
+        return point_id[tuple(field.mul(lead, v) for v in vec)]
+
+    def image(c, perm) -> int:
+        return kspace_id[sum(1 << moved_point(ctx.points[i], perm) for i in ctx.kspace_points[c])]
+
+    return {
+        tuple(sorted(image(c, perm) for c in ids))
+        for perm in itertools.permutations(range(ctx.params.n + 1))
+    }
 
 
 def valence_distribution_bruteforce(ctx: GeometryCtx, pi: int) -> list[int]:

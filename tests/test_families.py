@@ -7,6 +7,7 @@ from clkset import (
     BatteryConfig,
     BatteryDisagreement,
     FamilyError,
+    SchemeBundle,
     Verdict,
     bundle_for,
     complement,
@@ -421,3 +422,44 @@ class TestSpreadMeetsMatchOracles:
                     assert got == (verdict, repr(witness), note), (name, cand.ids[:8])
                     verdicts.add((name, verdict is Verdict.FAIL))
         assert verdicts == {(name, v) for name in SPREAD_ORACLES for v in (True, False)}
+
+
+class TestSpreadSample:
+    def test_built_once_per_geometry(self, pg52, monkeypatch):
+        """Reduced batteries and the fallback of spreads() share one sample,
+        and a shared sample gives the verdicts, witnesses and notes of a
+        sample built per battery."""
+        from clkset.geometry import GeometryCtx
+
+        config = BatteryConfig(
+            checks=("switching-sets", "spread-intersections"), spread_mode="reduced"
+        )
+        cands = [point_pencil_family(pg52, 0), family(pg52, range(31))]
+        expected = [
+            [
+                (res.verdict, repr(res.witness), res.note)
+                for res in run_battery(cand, SchemeBundle(pg52), config).results.values()
+            ]
+            for cand in cands
+        ]
+        sample = pg52.permuted_spread_sample()
+        calls = []
+        original = GeometryCtx.permuted_spread_sample
+
+        def counted(ctx):
+            calls.append(ctx)
+            return original(ctx)
+
+        monkeypatch.setattr(GeometryCtx, "permuted_spread_sample", counted)
+        bundle = SchemeBundle(pg52)
+        got = [
+            [
+                (res.verdict, repr(res.witness), res.note)
+                for res in run_battery(cand, bundle, config).results.values()
+            ]
+            for cand in cands
+        ]
+        assert bundle.spreads() == (sample, False)
+        assert calls == [pg52]
+        assert got == expected
+        assert {v for rows in got for v, _, _ in rows} >= {Verdict.SAMPLED_PASS, Verdict.FAIL}

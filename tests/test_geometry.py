@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from _oracles import relation_masks_pairwise
+from _oracles import coordinate_permutation_images, relation_masks_pairwise
 
 from clkset import GeometrySizeError, SchemeParams, Subspace, geometry, qbinom
 from clkset.geometry import GeometryCtx, rref
@@ -205,12 +205,7 @@ class TestSpreads:
         assert pg33.construct_spread() in sample
         for s in sample:
             assert pg33.is_partial_spread(s) and len(s) == 10
-        base = pg33.construct_spread()
-        via_maps = {base} | {
-            tuple(sorted(mapping[c] for c in base))
-            for mapping in pg33.coordinate_permutation_maps()
-        }
-        assert sample == sorted(via_maps)
+        assert sample == sorted(coordinate_permutation_images(pg33, pg33.construct_spread()))
 
 
 class TestSwitchingSets:
@@ -248,19 +243,6 @@ class TestSwitchingSets:
         pencil = pg32.pencil(0)[:2]
         assert not pg32.is_partial_spread(pencil)
         assert not pg32.are_conjugate_switching_sets(pencil, (30, 31))
-
-
-class TestPermutationMaps:
-    def test_maps_are_collineations(self, pg32):
-        rel = pg32.relation_masks()
-        for mapping in pg32.coordinate_permutation_maps()[:6]:
-            assert sorted(mapping) == list(range(35))
-            for a in range(0, 35, 5):
-                for b in range(0, 35, 7):
-                    i = next(
-                        i for i in range(3) if (rel[i][a] >> b) & 1
-                    )
-                    assert (rel[i][mapping[a]] >> mapping[b]) & 1
 
 
 class TestSubspaceFromVectors:

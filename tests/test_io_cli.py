@@ -406,7 +406,64 @@ class TestCLI:
             assert captured.out == ""
             assert "empty window" in captured.err
 
+    def test_search_refuses_window_without_parameter(self, tmp_path, capsys):
+        # no s/7 lies strictly inside (1, 21/20): nothing would be searched
+        code = main(
+            ["search", "--n", "3", "--q", "2", "--k", "1", "--window", "1", "21/20",
+             "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no parameter s/7")
+
+    def test_search_x_and_window_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1",
+                  "--window", "0", "1"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--point-id", "-1"), ("--point-id", "15"), ("--hyperplane-id", "-2"),
+         ("--hyperplane-id", "15")],
+    )
+    def test_construct_refuses_ids_out_of_range(self, tmp_path, capsys, flag, value):
+        kind = "pencil" if flag == "--point-id" else "hyperplane"
+        out = tmp_path / "f.clkset"
+        code = main(
+            ["construct", "--kind", kind, "--n", "3", "--q", "2", "--k", "1",
+             flag, value, "--out", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} {value} out of range 0..14\n"
+        assert not out.exists()
+
     def test_zero_rows_rejected(self, pg32):
         text = "CLKSET v1\n3 2 1\n0 0 0 0 0 0 0 0\n"
         with pytest.raises(CLKSETError):
             family_from_text(text, pg32)
+
+
+class TestReadme:
+    def test_cli_block_runs(self, tmp_path, monkeypatch, capsys):
+        """Every line of the README's CLI block, in order, exits 0."""
+        import shlex
+
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [argv for argv in commands if argv]
+        assert len(commands) >= 10
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CLG_CACHE", raising=False)
+        for argv in commands:
+            assert argv[0] == "clkset"
+            assert main(argv[1:]) == 0, " ".join(argv)
+        capsys.readouterr()
+        assert len([f for f in os.listdir("out") if f.endswith(".clkset")]) == 30

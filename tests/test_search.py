@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from _oracles import reference_families
 
 from clkset import (
     SearchConfig,
@@ -74,30 +75,11 @@ class TestSearchPG32:
 
     def test_completeness_against_reference(self, pg32, pg32_bundle):
         # pruning-free subset enumeration restricted to families containing
-        # line 0, compared with the propagating engine under the same fixture
-        ref = search_all(
-            pg32,
-            1,
-            SearchConfig(engine="reference", fix_in=(0,)),
-            pg32_bundle,
-        )
-        fast = search_all(pg32, 1, SearchConfig(fix_in=(0,)), pg32_bundle)
-        assert ref.families == fast.families
-        assert len(ref.families) > 0
-
-    def test_count_pruning_off_same_results(self, pg32, pg32_bundle):
-        with_pruning = search_all(pg32, 1, SearchConfig(), pg32_bundle)
-        without = search_all(
-            pg32, 1, SearchConfig(count_pruning=False), pg32_bundle
-        )
-        assert with_pruning.families == without.families
-
-    def test_symmetry_reduction_preserves_results(self, pg32, pg32_bundle):
-        plain = search_all(pg32, 1, SearchConfig(), pg32_bundle)
-        reduced = search_all(
-            pg32, 1, SearchConfig(symmetry_reduce=True), pg32_bundle
-        )
-        assert plain.families == reduced.families
+        # line 0, compared with the engine's families that contain it
+        ref = reference_families(pg32, 1, fix_in=(0,))
+        fast = _narrowed(search_all(pg32, 1, SearchConfig(), pg32_bundle), fix_in=(0,))
+        assert ref == fast
+        assert len(ref) > 0
 
     def test_threads_preserve_results(self, pg32, pg32_bundle):
         plain = search_all(pg32, 1, SearchConfig(), pg32_bundle)
@@ -153,6 +135,13 @@ class TestSearchPG32:
             with pytest.raises(ValueError, match="empty window"):
                 nonexistence_window(pg32, lo, hi, SearchConfig(), pg32_bundle)
 
+    def test_window_without_parameter_refused(self, pg32, pg32_bundle):
+        # no s/7 lies strictly inside these windows, so nothing is searched
+        for lo, hi in ((1, Fraction(21, 20)), (Fraction(1, 7), Fraction(2, 7))):
+            with pytest.raises(ValueError, match="no parameter s/7"):
+                nonexistence_window(pg32, lo, hi, SearchConfig(), pg32_bundle)
+        assert len(nonexistence_window(pg32, Fraction(1, 7), Fraction(3, 7)).rows) == 1
+
     def test_battery_failure_raises(self, pg32, pg32_bundle, monkeypatch):
         import clkset.search
         from clkset.families import BatteryReport, CheckResult, Verdict
@@ -167,9 +156,10 @@ class TestSearchPG32:
             search_all(pg32, 1, SearchConfig(), pg32_bundle)
 
     def test_cap_refusal(self):
-        big = geometry(4, 2, 3)
-        with pytest.raises(ValueError):
-            search_all(big, 1, SearchConfig(max_kspaces=100))
+        big = geometry(6, 1, 2)
+        assert len(big.kspaces) == 2667
+        with pytest.raises(ValueError, match="2667 k-spaces, exceeding the search cap 2000"):
+            search_all(big, 1)
 
 
 class TestSearchPG42:
@@ -237,10 +227,19 @@ class TestMaxDisjoint:
             assert max_disjoint_subfamily(family(pg32, ids)) == best
 
 
-def _engine(ctx, x, **config):
+def _engine(ctx, x):
     from clkset.search import _PropagateEngine
 
-    return _PropagateEngine(ctx, bundle_for(ctx), Fraction(x), SearchConfig(**config))
+    return _PropagateEngine(ctx, bundle_for(ctx), Fraction(x))
+
+
+def _narrowed(result, fix_in=(), fix_out=()):
+    """The families of a search result containing fix_in and avoiding fix_out."""
+    return tuple(
+        fam
+        for fam in result.families
+        if set(fix_in) <= set(fam) and not set(fix_out) & set(fam)
+    )
 
 
 def _decode(planes, m):
@@ -348,18 +347,16 @@ class TestBitSlicedEngine:
         found = 0
         for size in range(14):
             x = Fraction(size, 4)
-            ref = search_all(ctx, x, SearchConfig(engine="reference"))
             fast = search_all(ctx, x, SearchConfig())
-            assert fast.families == ref.families
+            assert fast.families == reference_families(ctx, x)
             found += len(fast.families)
         assert found == 2**13
 
     def test_narrowed_pg32_x2_against_reference(self, pg32, pg32_bundle):
         narrow = dict(fix_in=(0, 1, 2), fix_out=tuple(range(21, 35)))
-        ref = search_all(pg32, 2, SearchConfig(engine="reference", **narrow), pg32_bundle)
-        fast = search_all(pg32, 2, SearchConfig(**narrow), pg32_bundle)
-        assert fast.families == ref.families
-        assert len(fast.families) == 2
+        fast = _narrowed(search_all(pg32, 2, SearchConfig(), pg32_bundle), **narrow)
+        assert fast == reference_families(pg32, 2, **narrow)
+        assert len(fast) == 2
 
     @pytest.mark.parametrize(
         "n,k,q,x,count,digest",
