@@ -21,9 +21,8 @@ from .families import (
     point_pencil_family,
     run_battery,
 )
-from .geometry import GeometrySizeError
+from .geometry import geometry
 from .io import (
-    CLKSETError,
     DiskCache,
     atomic_write,
     load_family,
@@ -127,24 +126,11 @@ def cmd_formulas(args) -> int:
     return EXIT_OK
 
 
-def _build_ctx(p: SchemeParams, cache_dir: str | None):
-    from .geometry import geometry
-
-    ctx = geometry(p.n, p.k, p.q)
-    return ctx, bundle_for(ctx, DiskCache(resolve_cache_dir(cache_dir)))
-
-
 def cmd_verify(args) -> int:
-    try:
-        cand = load_family(args.infile)
-    except (CLKSETError, OSError, GeometrySizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cand = load_family(args.infile)
     ctx = cand.ctx
-    _, bundle = _build_ctx(ctx.params, args.cache_dir)
+    bundle = bundle_for(ctx, DiskCache(resolve_cache_dir(args.cache_dir)))
     config = BatteryConfig.fast() if args.battery == "fast" else BatteryConfig()
-    if args.spreads == "reduced":
-        config = BatteryConfig(checks=config.checks, spread_mode="reduced")
     try:
         report = run_battery(cand, bundle, config)
     except BatteryDisagreement as exc:
@@ -181,40 +167,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        if args.kind == "complement":
-            if not args.infile:
-                print("error: --kind complement requires --in", file=sys.stderr)
-                return EXIT_INPUT
-            base = load_family(args.infile)
-            cand = complement(base)
+    if args.kind == "complement":
+        if not args.infile:
+            print("error: --kind complement requires --in", file=sys.stderr)
+            return EXIT_INPUT
+        cand = complement(load_family(args.infile))
+    else:
+        if None in (args.n, args.q, args.k):
+            print(f"error: --kind {args.kind} requires --n --q --k", file=sys.stderr)
+            return EXIT_INPUT
+        p = _params(args)
+        ctx = geometry(p.n, p.k, p.q)
+        if args.kind == "pencil":
+            point = _index(args.point_id, len(ctx.points), "--point-id")
+            cand = point_pencil_family(ctx, point)
+        elif args.kind == "hyperplane":
+            hyps = ctx.hyperplanes()
+            cand = hyperplane_family(
+                ctx, hyps[_index(args.hyperplane_id, len(hyps), "--hyperplane-id")]
+            )
         else:
-            if None in (args.n, args.q, args.k):
-                print(
-                    f"error: --kind {args.kind} requires --n --q --k",
-                    file=sys.stderr,
-                )
-                return EXIT_INPUT
-            p = _params(args)
-            from .geometry import geometry
-
-            ctx = geometry(p.n, p.k, p.q)
-            if args.kind == "pencil":
-                point = _index(args.point_id, len(ctx.points), "--point-id")
-                cand = point_pencil_family(ctx, point)
-            elif args.kind == "hyperplane":
-                hyps = ctx.hyperplanes()
-                cand = hyperplane_family(
-                    ctx, hyps[_index(args.hyperplane_id, len(hyps), "--hyperplane-id")]
-                )
-            elif args.kind == "spread":
-                cand = CLCandidate(ctx, ctx.construct_spread())
-            else:
-                print(f"error: unknown kind {args.kind}", file=sys.stderr)
-                return EXIT_INPUT
-    except (CLKSETError, OSError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+            cand = CLCandidate(ctx, ctx.construct_spread())
     try:
         save_family(args.out, cand)
     except OSError as exc:
@@ -226,14 +199,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        p = _params(args)
-        from .geometry import geometry
-
-        ctx = geometry(p.n, p.k, p.q)
-    except (ValueError, GeometrySizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    p = _params(args)
+    ctx = geometry(p.n, p.k, p.q)
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)
@@ -242,76 +209,72 @@ def cmd_search(args) -> int:
         except OSError as exc:
             print(f"error: cannot use output directory: {exc}", file=sys.stderr)
             return EXIT_INPUT
-    _, bundle = _build_ctx(p, args.cache_dir)
+    bundle = bundle_for(ctx, DiskCache(resolve_cache_dir(args.cache_dir)))
     config = SearchConfig(threads=args.threads)
     summary_lines = []
     payload: dict = {"n": p.n, "q": p.q, "k": p.k}
-    try:
-        if args.window:
-            lo, hi = args.window
-            report = nonexistence_window(ctx, lo, hi, config, bundle)
-            total = sum(r.families for r in report.rows)
-            rows = []
-            for row in report.rows:
-                line = (
-                    f"x={row.x} size={row.size} families={row.families}"
-                    + (f" reason={row.reason}" if row.reason else "")
-                    + (
-                        f" within_bound={row.within_bound}"
-                        if row.within_bound is not None
-                        else ""
-                    )
+    if args.window:
+        lo, hi = args.window
+        report = nonexistence_window(ctx, lo, hi, config, bundle)
+        total = sum(r.families for r in report.rows)
+        rows = []
+        for row in report.rows:
+            line = (
+                f"x={row.x} size={row.size} families={row.families}"
+                + (f" reason={row.reason}" if row.reason else "")
+                + (
+                    f" within_bound={row.within_bound}"
+                    if row.within_bound is not None
+                    else ""
                 )
-                audit = row.skew_audit
-                if audit is not None:
-                    line += (
-                        f" skew_exclusion(holds={audit.holds},"
-                        f" lhs={audit.lhs}, rhs={audit.rhs})"
-                    )
-                summary_lines.append(line)
-                rows.append(
-                    {
-                        "x": str(row.x),
-                        "size": row.size,
-                        "families": row.families,
-                        "reason": row.reason,
-                        "within_bound": row.within_bound,
-                        "skew_exclusion": None
-                        if audit is None
-                        else {
-                            "holds": audit.holds,
-                            "lhs": str(audit.lhs),
-                            "rhs": str(audit.rhs),
-                        },
-                    }
+            )
+            audit = row.skew_audit
+            if audit is not None:
+                line += (
+                    f" skew_exclusion(holds={audit.holds},"
+                    f" lhs={audit.lhs}, rhs={audit.rhs})"
                 )
-            summary_lines.append(f"total: {total} families")
-            payload.update(window=[str(lo), str(hi)], rows=rows, total=total)
-            text = f"{total} families"
-            families = []
-        else:
-            result = search_all(ctx, args.x, config, bundle)
-            families = result.families
-            stats = result.stats
-            summary_lines.append(
-                f"x={args.x} families={len(families)}"
-                + (f" reason={result.reason}" if result.reason else "")
+            summary_lines.append(line)
+            rows.append(
+                {
+                    "x": str(row.x),
+                    "size": row.size,
+                    "families": row.families,
+                    "reason": row.reason,
+                    "within_bound": row.within_bound,
+                    "skew_exclusion": None
+                    if audit is None
+                    else {
+                        "holds": audit.holds,
+                        "lhs": str(audit.lhs),
+                        "rhs": str(audit.rhs),
+                    },
+                }
             )
-            summary_lines.append(f"nodes={stats.nodes} prunes={stats.prunes}")
-            payload.update(
-                x=str(args.x),
-                families=[list(fam) for fam in families],
-                reason=result.reason,
-                nodes=stats.nodes,
-                forced=stats.forced,
-                leaves=stats.leaves,
-                prunes=stats.prunes,
-                wall_seconds=stats.wall_seconds,
-            )
-            text = f"{len(families)} families"
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        summary_lines.append(f"total: {total} families")
+        payload.update(window=[str(lo), str(hi)], rows=rows, total=total)
+        text = f"{total} families"
+        families = []
+    else:
+        result = search_all(ctx, args.x, config, bundle)
+        families = result.families
+        stats = result.stats
+        summary_lines.append(
+            f"x={args.x} families={len(families)}"
+            + (f" reason={result.reason}" if result.reason else "")
+        )
+        summary_lines.append(f"nodes={stats.nodes} prunes={stats.prunes}")
+        payload.update(
+            x=str(args.x),
+            families=[list(fam) for fam in families],
+            reason=result.reason,
+            nodes=stats.nodes,
+            forced=stats.forced,
+            leaves=stats.leaves,
+            prunes=stats.prunes,
+            wall_seconds=stats.wall_seconds,
+        )
+        text = f"{len(families)} families"
     print(json.dumps(payload, indent=2) if args.format == "json" else text)
     if args.out:
         try:
@@ -354,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the definition battery on a file")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--battery", choices=("all", "fast"), default="all")
-    sp.add_argument("--spreads", choices=("exhaustive", "reduced"), default="exhaustive")
     sp.add_argument("--cache-dir", default=None)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_verify)
@@ -388,10 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GeometrySizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,7 +11,10 @@ of the input, and is raised loudly.
 
 The linear checks share one integer scan of the incidence RREF's free columns
 (`linalg.first_residual`), the counting and spectral ones one popcount tally
-against integer member and non-member targets (`_first_tally_miss`).
+against integer member and non-member targets (`_first_tally_miss`).  The
+spread checks read the bundle's one spread list, `SchemeBundle.spreads()`:
+every spread, whose passes are full passes, or above 40 points a sample,
+whose passes are sampled passes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import GeometryCtx, GeometrySizeError, Subspace, mask_of
+from .geometry import GeometryCtx, Subspace, mask_of
 from .linalg import first_residual
 from .qformulas import (
     eigenvalue_p,
@@ -221,20 +224,10 @@ class BatteryConfig:
         "switching-sets",
         "spread-intersections",
     )
-    spread_mode: str = "auto"  # "auto": exhaustive when gated; "reduced": sampled
 
     @classmethod
     def fast(cls) -> "BatteryConfig":
         return cls(checks=("kernel", "disjointness-counts"))
-
-
-def _spread_source(bundle: SchemeBundle, config: BatteryConfig):
-    """(spread list, their id-masks, exhaustive?) per battery config."""
-    if config.spread_mode == "reduced":
-        spreads, masks = bundle.spread_sample()
-        return spreads, masks, False
-    spreads, exhaustive = bundle.spreads()
-    return spreads, bundle.spread_masks(), exhaustive
 
 
 # -- individual checks -------------------------------------------------------
@@ -371,10 +364,11 @@ def check_switching_pairs(cand: CLCandidate, pairs) -> CheckResult:
     return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(pairs)} supplied pairs")
 
 
-def _spread_meets(cand: CLCandidate, bundle: SchemeBundle, config: BatteryConfig):
-    """(spread list, |L meet S| for each spread S, exhaustive?) per battery config."""
-    spreads, masks, exhaustive = _spread_source(bundle, config)
-    return spreads, [(m & cand.mask).bit_count() for m in masks], exhaustive
+def _spread_meets(cand: CLCandidate, bundle: SchemeBundle):
+    """(spread list, |L meet S| for each spread S, exhaustive?) over
+    bundle.spreads()."""
+    spreads, exhaustive = bundle.spreads()
+    return spreads, [(m & cand.mask).bit_count() for m in bundle.spread_masks()], exhaustive
 
 
 def _spread_meet_constant(spreads, meets) -> tuple[bool, object]:
@@ -389,17 +383,15 @@ def _spread_meet_constant(spreads, meets) -> tuple[bool, object]:
     )
 
 
-def check_switching_sets(
-    cand: CLCandidate, bundle: SchemeBundle, config: BatteryConfig, meets=None
-) -> CheckResult:
+def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) -> CheckResult:
     """Switching-set balance over all spread-difference pairs inside
     (2k+1)-subspaces (the span-sized case uses the global spread list),
     checked via constancy of the spread meets, which is the same condition.
-    `meets` is `_spread_meets(cand, bundle, config)` when already known."""
+    `meets` is `_spread_meets(cand, bundle)` when already known."""
     ctx = cand.ctx
     p = ctx.params
     if p.n == 2 * p.k + 1:
-        spreads, meets, exhaustive = meets or _spread_meets(cand, bundle, config)
+        spreads, meets, exhaustive = meets or _spread_meets(cand, bundle)
         if len(spreads) < 2:
             return CheckResult(Verdict.SKIPPED, note="fewer than two spreads known")
         ok, witness = _spread_meet_constant(spreads, meets)
@@ -410,18 +402,15 @@ def check_switching_sets(
         return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(spreads)} sampled spreads")
     sigmas = ctx.subspaces_of_dim(2 * p.k + 1)
     checked = 0
-    try:
-        for sigma in sigmas:
-            spreads = ctx.spreads_within(sigma)
-            if len(spreads) < 2:
-                continue
-            smeets = [(m & cand.mask).bit_count() for m in ctx.sigma_spread_masks(sigma)]
-            ok, witness = _spread_meet_constant(spreads, smeets)
-            if not ok:
-                return CheckResult(Verdict.FAIL, witness=("sigma", sigma.basis, witness))
-            checked += 1
-    except GeometrySizeError as exc:
-        return CheckResult(Verdict.SKIPPED, note=str(exc))
+    for sigma in sigmas:
+        spreads = ctx.spreads_within(sigma)
+        if len(spreads) < 2:
+            continue
+        smeets = [(m & cand.mask).bit_count() for m in ctx.sigma_spread_masks(sigma)]
+        ok, witness = _spread_meet_constant(spreads, smeets)
+        if not ok:
+            return CheckResult(Verdict.FAIL, witness=("sigma", sigma.basis, witness))
+        checked += 1
     if checked == 0:
         return CheckResult(Verdict.SKIPPED, note="no switching pairs available")
     return CheckResult(
@@ -430,16 +419,16 @@ def check_switching_sets(
 
 
 def check_spread_intersections(
-    cand: CLCandidate, bundle: SchemeBundle, config: BatteryConfig, meets=None
+    cand: CLCandidate, bundle: SchemeBundle, meets=None
 ) -> CheckResult:
-    """|L meet S| = x for every available k-spread S; `meets` is
-    `_spread_meets(cand, bundle, config)` when already known."""
+    """|L meet S| = x for every k-spread S of bundle.spreads(); `meets` is
+    `_spread_meets(cand, bundle)` when already known."""
     p = cand.ctx.params
     if (p.n + 1) % (p.k + 1):
         return CheckResult(
             Verdict.SKIPPED, note=f"no k-spreads: {p.k + 1} does not divide {p.n + 1}"
         )
-    spreads, meets, exhaustive = meets or _spread_meets(cand, bundle, config)
+    spreads, meets, exhaustive = meets or _spread_meets(cand, bundle)
     x = cand.x
     if x.denominator != 1:
         return CheckResult(
@@ -482,20 +471,12 @@ def point_flag_identity(cand: CLCandidate, point: int, tau: Subspace) -> bool:
 
 
 _CHECKS = {
-    "rowspace": lambda cand, bundle, config: check_rowspace_membership(cand, bundle),
-    "kernel": lambda cand, bundle, config: check_kernel_orthogonality(cand, bundle),
-    "disjointness-counts": lambda cand, bundle, config: check_disjointness_counts(
-        cand, bundle
-    ),
-    "kneser-eigenvector": lambda cand, bundle, config: check_kneser_eigenvector(
-        cand, bundle
-    ),
-    "eigenspace-split": lambda cand, bundle, config: check_eigenspace_split(
-        cand, bundle
-    ),
-    "meet-distribution": lambda cand, bundle, config: check_meet_distribution(
-        cand, bundle
-    ),
+    "rowspace": check_rowspace_membership,
+    "kernel": check_kernel_orthogonality,
+    "disjointness-counts": check_disjointness_counts,
+    "kneser-eigenvector": check_kneser_eigenvector,
+    "eigenspace-split": check_eigenspace_split,
+    "meet-distribution": check_meet_distribution,
     "switching-sets": check_switching_sets,
     "spread-intersections": check_spread_intersections,
 }
@@ -532,10 +513,10 @@ def run_battery(
             note = f"no two {p.k}-spaces of PG({p.n},{p.q}) are disjoint"
             result = CheckResult(Verdict.SKIPPED, note=note)
         elif name in _SPREAD_MEETS and p.n == 2 * p.k + 1:
-            meets = meets or _spread_meets(cand, bundle, config)
-            result = _CHECKS[name](cand, bundle, config, meets)
+            meets = meets or _spread_meets(cand, bundle)
+            result = _CHECKS[name](cand, bundle, meets)
         else:
-            result = _CHECKS[name](cand, bundle, config)
+            result = _CHECKS[name](cand, bundle)
         result.seconds = time.perf_counter() - start
         report.results[name] = result
     if not report.agreed:

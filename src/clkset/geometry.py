@@ -130,12 +130,12 @@ class GeometrySizeError(ValueError):
 class GeometryCtx:
     """Enumerated points and k-spaces of PG(n,q) with incidence structure."""
 
-    def __init__(self, params: SchemeParams, cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, params: SchemeParams):
         total = params.num_kspaces
-        if total > cap:
+        if total > DEFAULT_ENUM_CAP:
             raise GeometrySizeError(
                 f"PG({params.n},{params.q}) has {total} {params.k}-spaces, "
-                f"exceeding the cap of {cap}"
+                f"exceeding the cap of {DEFAULT_ENUM_CAP}"
             )
         self.params = params
         self.field = field_ctx(params.q)
@@ -155,14 +155,12 @@ class GeometryCtx:
         if len(self.kspace_id) != len(self.kspaces):
             raise RuntimeError(f"duplicate {params.k}-spaces in the enumeration")
         self._coeff_points = _canonical_points(params.k, self.field)
-        self.kspace_points: list[tuple[int, ...]] = []
         self.kspace_masks: list[int] = []
         pencil_masks = [0] * len(self.points)
         for idx, sub in enumerate(self.kspaces):
             ids = self._span_point_ids(sub.basis)
             for pid in ids:
                 pencil_masks[pid] |= 1 << idx
-            self.kspace_points.append(ids)
             self.kspace_masks.append(mask_of(ids))
         self.pencil_masks = pencil_masks
         self.full_kspace_mask = (1 << total) - 1
@@ -397,17 +395,15 @@ class GeometryCtx:
         found.sort()
         return found
 
-    def enumerate_all_spreads(
-        self, max_points: int = DEFAULT_SPREAD_POINT_CAP
-    ) -> list[tuple[int, ...]]:
+    def enumerate_all_spreads(self) -> list[tuple[int, ...]]:
         """Complete list of k-spreads, by exhaustive backtracking over the
         lowest uncovered point.  Guarded: refuses geometries with more than
-        max_points points."""
+        DEFAULT_SPREAD_POINT_CAP points."""
         self._require_spread_divisibility()
         npts = len(self.points)
-        if npts > max_points:
+        if npts > DEFAULT_SPREAD_POINT_CAP:
             raise GeometrySizeError(
-                f"spread enumeration guard: {npts} points exceeds cap {max_points}"
+                f"spread enumeration guard: {npts} points exceeds cap {DEFAULT_SPREAD_POINT_CAP}"
             )
         return self._spread_backtrack(range(len(self.kspaces)), self.full_point_mask)
 
@@ -461,9 +457,9 @@ class GeometryCtx:
 _CTX_CACHE: dict[tuple[int, int, int], GeometryCtx] = {}
 
 
-def geometry(n: int, k: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> GeometryCtx:
+def geometry(n: int, k: int, q: int) -> GeometryCtx:
     """Shared GeometryCtx instances keyed by (n, k, q)."""
     key = (n, k, q)
     if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = GeometryCtx(SchemeParams(n=n, k=k, q=q), cap=cap)
+        _CTX_CACHE[key] = GeometryCtx(SchemeParams(n=n, k=k, q=q))
     return _CTX_CACHE[key]

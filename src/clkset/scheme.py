@@ -4,14 +4,17 @@ The incidence matrix A has one row per point and one column per k-space; the
 relation matrices A_i are the 0/1 matrices of "meet in dimension k-i".  Both
 are integer rows, and every rank, kernel, eigenspace and row-space question is
 answered from the certified RREF of linalg.rref_int; nothing here uses
-fractions.
+fractions.  SchemeBundle also keeps the geometry's one spread list, which the
+geometry's point count chooses: every spread up to DEFAULT_SPREAD_POINT_CAP
+points, the field-reduction sample above.  A cached list is used only after
+it is checked against the geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import GeometryCtx, GeometrySizeError, ids_of, mask_of
+from .geometry import DEFAULT_SPREAD_POINT_CAP, GeometryCtx, ids_of, mask_of
 from .linalg import FreeColumn, kernel_vectors, rref_int
 from .qformulas import _require_span_scale, eigenvalue_p, qbinom
 
@@ -174,10 +177,8 @@ class SchemeBundle:
         self.ctx = ctx
         self.cache = cache
         self._rref: tuple[tuple[int, ...], list[FreeColumn]] | None = None
-        self._spreads: list[tuple[int, ...]] | None = None
-        self._spreads_exhaustive: bool | None = None
+        self._spreads: tuple[list[tuple[int, ...]], bool] | None = None
         self._spread_masks: list[int] | None = None
-        self._spread_sample: tuple[list[tuple[int, ...]], list[int]] | None = None
 
     @property
     def params(self):
@@ -204,43 +205,52 @@ class SchemeBundle:
         return self.relation_masks()[self.params.k + 1]
 
     def spreads(self) -> tuple[list[tuple[int, ...]], bool]:
-        """(spread list, exhaustive?) — exhaustive backtracking when the
-        geometry is small enough, otherwise the field-reduction spread and
-        its coordinate-permutation images."""
+        """(spread list, exhaustive?): every k-spread, by backtracking, when
+        the geometry has at most DEFAULT_SPREAD_POINT_CAP points, otherwise
+        the field-reduction spread and its coordinate-permutation images."""
         if self._spreads is None:
             p = self.params
             if (p.n + 1) % (p.k + 1):
-                self._spreads, self._spreads_exhaustive = [], False
+                self._spreads = [], False
             else:
-                payload = self.cache.get("spreads", p) if self.cache else None
-                if payload is not None:
-                    self._spreads = [tuple(s) for s in payload["spreads"]]
-                    self._spreads_exhaustive = bool(payload["exhaustive"])
-                else:
-                    try:
-                        self._spreads = self.ctx.enumerate_all_spreads()
-                        self._spreads_exhaustive = True
-                    except GeometrySizeError:
-                        self._spreads = self.spread_sample()[0]
-                        self._spreads_exhaustive = False
+                ctx = self.ctx
+                exhaustive = len(ctx.points) <= DEFAULT_SPREAD_POINT_CAP
+                spreads = self._cached_spreads(exhaustive)
+                if spreads is None:
+                    if exhaustive:
+                        spreads = ctx.enumerate_all_spreads()
+                    else:
+                        spreads = ctx.permuted_spread_sample()
                     if self.cache:
-                        self.cache.put(
-                            "spreads",
-                            p,
-                            {
-                                "spreads": [list(s) for s in self._spreads],
-                                "exhaustive": self._spreads_exhaustive,
-                            },
-                        )
-        return self._spreads, bool(self._spreads_exhaustive)
+                        payload = {"spreads": [list(s) for s in spreads], "exhaustive": exhaustive}
+                        self.cache.put("spreads", p, payload)
+                self._spreads = spreads, exhaustive
+        return self._spreads
 
-    def spread_sample(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The field-reduction spread and its coordinate-permutation images,
-        with their id-masks, built once per geometry."""
-        if self._spread_sample is None:
-            spreads = self.ctx.permuted_spread_sample()
-            self._spread_sample = spreads, [mask_of(s) for s in spreads]
-        return self._spread_sample
+    def _cached_spreads(self, exhaustive: bool) -> list[tuple[int, ...]] | None:
+        """The cached spread list if it is one spreads() could have built
+        here: the same exhaustive flag, and a nonempty, sorted, unrepeated
+        list of tuples of k-space ids whose point masks partition the points
+        (one pass per spread).  None for anything else, which is rebuilt."""
+        payload = self.cache.get("spreads", self.params) if self.cache else None
+        try:
+            if payload["exhaustive"] is not exhaustive:
+                return None
+            spreads = [tuple(s) for s in payload["spreads"]]
+        except (KeyError, TypeError):
+            return None
+        masks = self.ctx.kspace_masks
+        for s in spreads:
+            union = 0
+            for c in s:
+                if type(c) is not int or not 0 <= c < len(masks) or union & masks[c]:
+                    return None
+                union |= masks[c]
+            if union != self.ctx.full_point_mask:
+                return None
+        if not spreads or any(a >= b for a, b in zip(spreads, spreads[1:])):
+            return None
+        return spreads
 
     def spread_masks(self) -> list[int]:
         """Bitmask (over k-space ids) of each spread in spreads()."""

@@ -9,6 +9,7 @@ from math import gcd, lcm
 
 from clkset import GeometryCtx
 from clkset.families import Verdict
+from clkset.geometry import ids_of
 from clkset.qformulas import eigenvalue_p, meet_count_target, qbinom, valence
 from clkset.scheme import q_disjoint_coefficient, v1_eigen_check
 
@@ -135,7 +136,8 @@ def coordinate_permutation_images(ctx: GeometryCtx, ids) -> set[tuple[int, ...]]
         return point_id[tuple(field.mul(lead, v) for v in vec)]
 
     def image(c, perm) -> int:
-        return kspace_id[sum(1 << moved_point(ctx.points[i], perm) for i in ctx.kspace_points[c])]
+        points = ids_of(ctx.kspace_masks[c])
+        return kspace_id[sum(1 << moved_point(ctx.points[i], perm) for i in points)]
 
     return {
         tuple(sorted(image(c, perm) for c in ids))
@@ -188,7 +190,7 @@ def skew_pair_profile_bruteforce(ctx: GeometryCtx, a: int, b: int):
         by_span_dim[meet_dim_from_masks(ctx, mc, sigma_mask)] += 1
     through = [0] * len(ctx.points)
     for c in skew_ids:
-        for p in ctx.kspace_points[c]:
+        for p in ids_of(ctx.kspace_masks[c]):
             through[p] += 1
     span_counts = set()
     outer_counts = set()
@@ -430,14 +432,12 @@ def _meet_constant_loop(cand, spreads, masks):
     return True, None
 
 
-def switching_check_loop(cand, bundle, config):
-    from clkset.families import _spread_source
-    from clkset.geometry import GeometrySizeError
-
+def switching_check_loop(cand, bundle):
     ctx = cand.ctx
     p = ctx.params
     if p.n == 2 * p.k + 1:
-        spreads, masks, exhaustive = _spread_source(bundle, config)
+        spreads, exhaustive = bundle.spreads()
+        masks = bundle.spread_masks()
         if len(spreads) < 2:
             return Verdict.SKIPPED, None, "fewer than two spreads known"
         ok, witness = _meet_constant_loop(cand, spreads, masks)
@@ -447,29 +447,25 @@ def switching_check_loop(cand, bundle, config):
             return Verdict.PASS, None, f"{len(spreads)} spreads, all pairs"
         return Verdict.SAMPLED_PASS, None, f"{len(spreads)} sampled spreads"
     checked = 0
-    try:
-        for sigma in ctx.subspaces_of_dim(2 * p.k + 1):
-            spreads = ctx.spreads_within(sigma)
-            if len(spreads) < 2:
-                continue
-            ok, witness = _meet_constant_loop(cand, spreads, ctx.sigma_spread_masks(sigma))
-            if not ok:
-                return Verdict.FAIL, ("sigma", sigma.basis, witness), ""
-            checked += 1
-    except GeometrySizeError as exc:
-        return Verdict.SKIPPED, None, str(exc)
+    for sigma in ctx.subspaces_of_dim(2 * p.k + 1):
+        spreads = ctx.spreads_within(sigma)
+        if len(spreads) < 2:
+            continue
+        ok, witness = _meet_constant_loop(cand, spreads, ctx.sigma_spread_masks(sigma))
+        if not ok:
+            return Verdict.FAIL, ("sigma", sigma.basis, witness), ""
+        checked += 1
     if checked == 0:
         return Verdict.SKIPPED, None, "no switching pairs available"
     return Verdict.PASS, None, f"spread pairs inside {checked} span-dimensional subspaces"
 
 
-def spread_intersections_check_loop(cand, bundle, config):
-    from clkset.families import _spread_source
-
+def spread_intersections_check_loop(cand, bundle):
     p = cand.ctx.params
     if (p.n + 1) % (p.k + 1):
         return Verdict.SKIPPED, None, f"no k-spreads: {p.k + 1} does not divide {p.n + 1}"
-    spreads, masks, exhaustive = _spread_source(bundle, config)
+    spreads, exhaustive = bundle.spreads()
+    masks = bundle.spread_masks()
     x = cand.x
     if x.denominator != 1:
         note = "spread meets are integers; non-integer x is impossible"

@@ -224,18 +224,18 @@ class TestSpreadIntersections:
         pen = point_pencil_family(pg32, 0)
         for s in pg32.enumerate_all_spreads():
             assert sum(1 for c in s if c in pen) == 1
-        res = check_spread_intersections(pen, pg32_bundle, BatteryConfig())
+        res = check_spread_intersections(pen, pg32_bundle)
         assert res.verdict is Verdict.PASS
 
     def test_non_integer_x_fails_immediately(self, pg32, pg32_bundle):
         fam = family(pg32, range(8))
-        res = check_spread_intersections(fam, pg32_bundle, BatteryConfig())
+        res = check_spread_intersections(fam, pg32_bundle)
         assert res.verdict is Verdict.FAIL
         assert "non-integer" in res.witness[0]
 
     def test_skipped_without_spreads(self, pg42, pg42_bundle):
         pen = point_pencil_family(pg42, 0)
-        res = check_spread_intersections(pen, pg42_bundle, BatteryConfig())
+        res = check_spread_intersections(pen, pg42_bundle)
         assert res.verdict is Verdict.SKIPPED
 
 
@@ -359,7 +359,7 @@ class TestIntegerChecksMatchOracles:
         verdicts = set()
         for cand in _oracle_roster(ctx, rng):
             for name, oracle in BATTERY_ORACLES.items():
-                res = _CHECKS[name](cand, bundle, BatteryConfig())
+                res = _CHECKS[name](cand, bundle)
                 verdict, witness, note = oracle(cand, bundle)
                 got = (res.verdict, repr(res.witness), res.note)
                 assert got == (verdict, repr(witness), note), (name, cand.ids[:8])
@@ -382,7 +382,7 @@ class TestIntegerChecksMatchOracles:
             assert isinstance(res.witness[res.witness.index("expected") + 1], Fraction)
         pen = point_pencil_family(pg32, 0)
         swapped = family(pg32, pen.ids[1:] + (next(c for c in range(35) if c not in pen),))
-        res = check_spread_intersections(swapped, pg32_bundle, BatteryConfig())
+        res = check_spread_intersections(swapped, pg32_bundle)
         assert res.verdict is Verdict.FAIL
         assert res.witness[-2:] == ("expected", 1) and type(res.witness[-1]) is int
 
@@ -391,25 +391,17 @@ class TestSpreadMeetsMatchOracles:
     """When n = 2k+1 a battery counts the global spread meets once for
     switching-sets and spread-intersections; each check still gives the
     (verdict, witness, note) of the loop it used to run on its own, in
-    either order and under both spread modes."""
+    either order, on every spread (PG(3,2), PG(3,3)) and on the sample
+    (PG(3,4), 85 points)."""
 
-    @pytest.mark.parametrize(
-        "n,k,q,mode",
-        [
-            (3, 1, 2, "auto"),
-            (3, 1, 2, "reduced"),
-            (3, 1, 3, "auto"),
-            (3, 1, 3, "reduced"),
-            (5, 1, 2, "auto"),
-        ],
-    )
-    def test_roster(self, n, k, q, mode):
+    @pytest.mark.parametrize("n,k,q", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2)])
+    def test_roster(self, n, k, q):
         ctx = geometry(n, k, q)
         bundle = bundle_for(ctx)
         roster = _oracle_roster(ctx, random.Random(n * 100 + k * 10 + q))
         verdicts = set()
         for checks in (tuple(SPREAD_ORACLES), tuple(reversed(SPREAD_ORACLES))):
-            config = BatteryConfig(checks=checks, spread_mode=mode)
+            config = BatteryConfig(checks=checks)
             for cand in roster:
                 try:
                     report = run_battery(cand, bundle, config)
@@ -417,7 +409,7 @@ class TestSpreadMeetsMatchOracles:
                     report = exc.report
                 for name, oracle in SPREAD_ORACLES.items():
                     res = report.results[name]
-                    verdict, witness, note = oracle(cand, bundle, config)
+                    verdict, witness, note = oracle(cand, bundle)
                     got = (res.verdict, repr(res.witness), res.note)
                     assert got == (verdict, repr(witness), note), (name, cand.ids[:8])
                     verdicts.add((name, verdict is Verdict.FAIL))
@@ -426,14 +418,12 @@ class TestSpreadMeetsMatchOracles:
 
 class TestSpreadSample:
     def test_built_once_per_geometry(self, pg52, monkeypatch):
-        """Reduced batteries and the fallback of spreads() share one sample,
-        and a shared sample gives the verdicts, witnesses and notes of a
-        sample built per battery."""
+        """Batteries and spreads() on a geometry above the spread point cap
+        share one sample, and a shared sample gives the verdicts, witnesses
+        and notes of a sample built per battery."""
         from clkset.geometry import GeometryCtx
 
-        config = BatteryConfig(
-            checks=("switching-sets", "spread-intersections"), spread_mode="reduced"
-        )
+        config = BatteryConfig(checks=("switching-sets", "spread-intersections"))
         cands = [point_pencil_family(pg52, 0), family(pg52, range(31))]
         expected = [
             [

@@ -4,7 +4,7 @@ import pytest
 from _oracles import coordinate_permutation_images, relation_masks_pairwise
 
 from clkset import GeometrySizeError, SchemeParams, Subspace, geometry, qbinom
-from clkset.geometry import GeometryCtx, rref
+from clkset.geometry import GeometryCtx, ids_of, rref
 
 
 class TestEnumeration:
@@ -39,12 +39,12 @@ class TestEnumeration:
 
     def test_points_per_kspace(self, pg33):
         per = qbinom(pg33.params.k + 1, 1, pg33.params.q)
-        for ids in pg33.kspace_points:
-            assert len(ids) == per
+        for mask in pg33.kspace_masks:
+            assert len(ids_of(mask)) == per
 
     def test_size_cap(self):
         with pytest.raises(GeometrySizeError):
-            GeometryCtx(SchemeParams(n=9, k=2, q=5), cap=10**6)
+            GeometryCtx(SchemeParams(n=9, k=2, q=5))
 
 
 class TestIntersection:

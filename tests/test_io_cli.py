@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from clkset import family, geometry, point_pencil_family
+from clkset import SchemeBundle, family, geometry, point_pencil_family
 from clkset.cli import main
+from clkset.geometry import GeometryCtx
 from clkset.io import (
     CLKSETError,
     DiskCache,
@@ -150,6 +151,72 @@ class TestDiskCache:
         files = os.listdir(cache_dir)
         assert len(files) == 1 and files[0].startswith("spreads_")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"spreads": [[0, 1, 2, 3, 4]], "exhaustive": True},  # not a partition
+            [["a"]],
+            {"spreads": [[0, 1, 2, 3, 4]]},
+            {"spreads": 5, "exhaustive": True},
+            {"spreads": [], "exhaustive": True},
+            {"spreads": [["0"]], "exhaustive": True},
+            None,
+        ],
+    )
+    def test_foreign_spread_entries_rebuilt(self, pg32, tmp_path, payload):
+        cache = DiskCache(str(tmp_path / "cache"))
+        cache.put("spreads", pg32.params, payload)
+        spreads = pg32.enumerate_all_spreads()
+        assert SchemeBundle(pg32, cache).spreads() == (spreads, True)
+        assert cache.get("spreads", pg32.params) == {
+            "spreads": [list(s) for s in spreads], "exhaustive": True
+        }
+
+    def test_spread_entries_checked_spread_by_spread(self, pg32, tmp_path):
+        cache = DiskCache(str(tmp_path / "cache"))
+        spreads = [list(s) for s in pg32.enumerate_all_spreads()]
+        c = next(c for c in range(35) if c not in spreads[0])
+        foreign = [
+            {"spreads": spreads, "exhaustive": False},  # built another way
+            {"spreads": spreads[::-1], "exhaustive": True},
+            {"spreads": spreads + spreads[-1:], "exhaustive": True},
+            {"spreads": spreads[:-1] + [spreads[-1] + spreads[-1][:1]], "exhaustive": True},
+            {"spreads": spreads[:-1] + [spreads[-1][:-1] + [35]], "exhaustive": True},
+            {"spreads": spreads[:-1] + [spreads[-1][:-1] + [True]], "exhaustive": True},
+            {"spreads": spreads[:-1] + [sorted(spreads[0][1:] + [c])], "exhaustive": True},
+        ]
+        for payload in foreign:
+            cache.put("spreads", pg32.params, payload)
+            assert SchemeBundle(pg32, cache).spreads() == (pg32.enumerate_all_spreads(), True)
+
+    def test_checked_spread_entries_are_read_back(self, pg32, pg52, tmp_path, monkeypatch):
+        cache = DiskCache(str(tmp_path / "cache"))
+        built = [SchemeBundle(ctx, cache).spreads() for ctx in (pg32, pg52)]
+        assert [exhaustive for _, exhaustive in built] == [True, False]
+
+        def refuse(ctx):
+            raise AssertionError("cached spreads were rebuilt")
+
+        monkeypatch.setattr(GeometryCtx, "enumerate_all_spreads", refuse)
+        monkeypatch.setattr(GeometryCtx, "permuted_spread_sample", refuse)
+        assert [SchemeBundle(ctx, cache).spreads() for ctx in (pg32, pg52)] == built
+
+    @pytest.mark.parametrize(
+        "payload", [{"spreads": [[0, 1, 2, 3, 4]], "exhaustive": True}, [["a"]]]
+    )
+    def test_verify_rebuilds_foreign_spread_entry(self, tmp_path, capsys, monkeypatch, payload):
+        monkeypatch.setattr(geometry(3, 1, 2), "_bundle", None)  # read the cache afresh
+        out = str(tmp_path / "p.clkset")
+        main(["construct", "--kind", "pencil", "--n", "3", "--q", "2", "--k",
+              "1", "--out", out])
+        cache = DiskCache(str(tmp_path / "cache"))
+        params = SchemeParams(n=3, k=1, q=2)
+        cache.put("spreads", params, payload)
+        capsys.readouterr()
+        assert main(["verify", "--in", out, "--cache-dir", cache.directory]) == 0
+        assert "spread-intersections: pass (all 56 spreads)" in capsys.readouterr().out
+        assert len(cache.get("spreads", params)["spreads"]) == 56
+
 
 class TestCLI:
     def test_formulas_text(self, capsys):
@@ -194,15 +261,37 @@ class TestCLI:
              "--cache-dir", str(tmp_path / "c")]
         ) == 0
 
-    def test_verify_reduced_spreads(self, tmp_path, capsys):
+    def test_verify_spreads_flag_removed(self, tmp_path):
         out = str(tmp_path / "p.clkset")
         main(["construct", "--kind", "pencil", "--n", "3", "--q", "2", "--k",
               "1", "--out", out])
-        assert main(
-            ["verify", "--in", out, "--spreads", "reduced",
-             "--cache-dir", str(tmp_path / "c")]
-        ) == 0
-        assert "sampled-pass" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--in", out, "--spreads", "reduced"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "q,note", [(3, "pass (all 8424 spreads)"), (4, "sampled-pass (12 sampled spreads)")]
+    )
+    def test_verify_spread_source_follows_point_count(self, tmp_path, capsys, q, note):
+        # PG(3,3) has 40 points, at the exhaustive cap; PG(3,4) has 85
+        out = str(tmp_path / "p.clkset")
+        main(["construct", "--kind", "pencil", "--n", "3", "--q", str(q), "--k",
+              "1", "--out", out])
+        assert main(["verify", "--in", out, "--cache-dir", str(tmp_path / "c")]) == 0
+        assert f"spread-intersections: {note}" in capsys.readouterr().out.splitlines()
+
+    def test_verify_unusable_cache_dir_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(geometry(3, 1, 2), "_bundle", None)  # spreads not yet built
+        out = str(tmp_path / "p.clkset")
+        main(["construct", "--kind", "pencil", "--n", "3", "--q", "2", "--k",
+              "1", "--out", out])
+        (tmp_path / "notadir").write_text("")
+        cache = str(tmp_path / "notadir" / "sub")
+        capsys.readouterr()
+        assert main(["verify", "--in", out, "--cache-dir", cache]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 20] Not a directory: {cache!r}\n"
 
     def test_verify_failure_exit_code(self, pg32, tmp_path):
         import random
