@@ -12,9 +12,9 @@ of the input, and is raised loudly.
 The linear checks share one integer scan of the incidence RREF's free columns
 (`linalg.first_residual`), the counting and spectral ones one popcount tally
 against integer member and non-member targets (`_first_tally_miss`).  The
-spread checks read the bundle's one spread list, `SchemeBundle.spreads()`:
-every spread, whose passes are full passes, or above 40 points a sample,
-whose passes are sampled passes.
+spread checks count |L meet S| by popcounts over the k-space bitmasks of
+`GeometryCtx.sigma_spread_masks` and `SchemeBundle.spread_masks()`, which
+holds every spread (full passes) or above 40 points a sample (sampled passes).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import GeometryCtx, Subspace, mask_of
+from .geometry import GeometryCtx, Subspace, ids_of, mask_of
 from .linalg import first_residual
 from .qformulas import (
     eigenvalue_p,
@@ -364,23 +364,18 @@ def check_switching_pairs(cand: CLCandidate, pairs) -> CheckResult:
     return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(pairs)} supplied pairs")
 
 
-def _spread_meets(cand: CLCandidate, bundle: SchemeBundle):
-    """(spread list, |L meet S| for each spread S, exhaustive?) over
-    bundle.spreads()."""
-    spreads, exhaustive = bundle.spreads()
-    return spreads, [(m & cand.mask).bit_count() for m in bundle.spread_masks()], exhaustive
+def _spread_meets(cand: CLCandidate, bundle: SchemeBundle) -> list[int]:
+    """|L meet S| for each spread S of bundle.spread_masks()."""
+    return [(m & cand.mask).bit_count() for m in bundle.spread_masks()]
 
 
-def _spread_meet_constant(spreads, meets) -> tuple[bool, object]:
-    """Whether |L meet S| is constant over the given spreads; equivalent to
-    checking every difference pair (S \\ S', S' \\ S) of the list."""
+def _spread_meet_constant(masks, meets) -> tuple[bool, object]:
+    """Whether |L meet S| is constant over the spreads with these masks, which
+    is every difference pair (S \\ S', S' \\ S) of the list balanced."""
     if len(set(meets)) < 2:
         return True, None
-    s = spreads[next(idx for idx, meet in enumerate(meets) if meet != meets[0])]
-    return False, (
-        tuple(c for c in spreads[0] if c not in s),
-        tuple(c for c in s if c not in spreads[0]),
-    )
+    s = masks[next(idx for idx, meet in enumerate(meets) if meet != meets[0])]
+    return False, (ids_of(masks[0] & ~s), ids_of(s & ~masks[0]))
 
 
 def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) -> CheckResult:
@@ -391,23 +386,23 @@ def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) ->
     ctx = cand.ctx
     p = ctx.params
     if p.n == 2 * p.k + 1:
-        spreads, meets, exhaustive = meets or _spread_meets(cand, bundle)
-        if len(spreads) < 2:
+        masks = bundle.spread_masks()
+        if len(masks) < 2:
             return CheckResult(Verdict.SKIPPED, note="fewer than two spreads known")
-        ok, witness = _spread_meet_constant(spreads, meets)
+        meets = _spread_meets(cand, bundle) if meets is None else meets
+        ok, witness = _spread_meet_constant(masks, meets)
         if not ok:
             return CheckResult(Verdict.FAIL, witness=witness)
-        if exhaustive:
-            return CheckResult(Verdict.PASS, note=f"{len(spreads)} spreads, all pairs")
-        return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(spreads)} sampled spreads")
-    sigmas = ctx.subspaces_of_dim(2 * p.k + 1)
+        if bundle.spreads_exhaustive():
+            return CheckResult(Verdict.PASS, note=f"{len(masks)} spreads, all pairs")
+        return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(masks)} sampled spreads")
     checked = 0
-    for sigma in sigmas:
-        spreads = ctx.spreads_within(sigma)
-        if len(spreads) < 2:
+    for sigma in ctx.subspaces_of_dim(2 * p.k + 1):
+        masks = ctx.sigma_spread_masks(sigma)
+        if len(masks) < 2:
             continue
-        smeets = [(m & cand.mask).bit_count() for m in ctx.sigma_spread_masks(sigma)]
-        ok, witness = _spread_meet_constant(spreads, smeets)
+        smeets = [(m & cand.mask).bit_count() for m in masks]
+        ok, witness = _spread_meet_constant(masks, smeets)
         if not ok:
             return CheckResult(Verdict.FAIL, witness=("sigma", sigma.basis, witness))
         checked += 1
@@ -421,14 +416,14 @@ def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) ->
 def check_spread_intersections(
     cand: CLCandidate, bundle: SchemeBundle, meets=None
 ) -> CheckResult:
-    """|L meet S| = x for every k-spread S of bundle.spreads(); `meets` is
-    `_spread_meets(cand, bundle)` when already known."""
+    """|L meet S| = x for every k-spread S of bundle.spread_masks(); `meets`
+    is `_spread_meets(cand, bundle)` when already known."""
     p = cand.ctx.params
     if (p.n + 1) % (p.k + 1):
         return CheckResult(
             Verdict.SKIPPED, note=f"no k-spreads: {p.k + 1} does not divide {p.n + 1}"
         )
-    spreads, meets, exhaustive = meets or _spread_meets(cand, bundle)
+    meets = _spread_meets(cand, bundle) if meets is None else meets
     x = cand.x
     if x.denominator != 1:
         return CheckResult(
@@ -442,9 +437,9 @@ def check_spread_intersections(
             return CheckResult(
                 Verdict.FAIL, witness=("spread", idx, "meet", meet, "expected", target)
             )
-    if exhaustive:
-        return CheckResult(Verdict.PASS, note=f"all {len(spreads)} spreads")
-    return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(spreads)} sampled spreads")
+    if bundle.spreads_exhaustive():
+        return CheckResult(Verdict.PASS, note=f"all {len(meets)} spreads")
+    return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(meets)} sampled spreads")
 
 
 def point_flag_identity(cand: CLCandidate, point: int, tau: Subspace) -> bool:
@@ -513,7 +508,8 @@ def run_battery(
             note = f"no two {p.k}-spaces of PG({p.n},{p.q}) are disjoint"
             result = CheckResult(Verdict.SKIPPED, note=note)
         elif name in _SPREAD_MEETS and p.n == 2 * p.k + 1:
-            meets = meets or _spread_meets(cand, bundle)
+            if meets is None:
+                meets = _spread_meets(cand, bundle)
             result = _CHECKS[name](cand, bundle, meets)
         else:
             result = _CHECKS[name](cand, bundle)

@@ -4,7 +4,8 @@ Subspaces are stored as reduced-row-echelon bases over GF(q); two values are
 equal exactly when they describe the same subspace.  A GeometryCtx fixes a
 deterministic id order (lexicographic on the flattened canonical matrices)
 for the points and the k-spaces, and precomputes the incidence bitmasks the
-rest of the package runs on.
+rest of the package runs on.  Spreads are kept as k-space bitmasks too, one
+list per (2k+1)-space; the public enumerators return them as id tuples.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .gf import FieldCtx, FieldReduction, field_ctx
 from .qformulas import SchemeParams, qbinom
 
 DEFAULT_ENUM_CAP = 10**6
+DEFAULT_Q_CAP = 16
 DEFAULT_SPREAD_POINT_CAP = 40
 DEFAULT_PERMUTATION_CAP = 5040
 
@@ -131,11 +133,15 @@ class GeometryCtx:
     """Enumerated points and k-spaces of PG(n,q) with incidence structure."""
 
     def __init__(self, params: SchemeParams):
-        total = params.num_kspaces
-        if total > DEFAULT_ENUM_CAP:
+        n, k, q = params.n, params.k, params.q
+        if q > DEFAULT_Q_CAP:
+            raise GeometrySizeError(f"field size {q} exceeds configured cap {DEFAULT_Q_CAP}")
+        # #k-spaces >= #points > 2^n, so a large n is refused before counting
+        total = params.num_kspaces if n < DEFAULT_ENUM_CAP.bit_length() else None
+        if total is None or total > DEFAULT_ENUM_CAP:
+            count = f"more than 2^{n}" if total is None else total
             raise GeometrySizeError(
-                f"PG({params.n},{params.q}) has {total} {params.k}-spaces, "
-                f"exceeding the cap of {DEFAULT_ENUM_CAP}"
+                f"PG({n},{q}) has {count} {k}-spaces, exceeding the cap of {DEFAULT_ENUM_CAP}"
             )
         self.params = params
         self.field = field_ctx(params.q)
@@ -172,7 +178,6 @@ class GeometryCtx:
             self._point_count_to_dim[acc] = d
         self._relations: list[list[int]] | None = None
         self._mask_cache: dict[tuple[tuple[int, ...], ...], int] = {}
-        self._sub_spread_cache: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
         self._sub_spread_masks: dict[tuple[tuple[int, ...], ...], list[int]] = {}
         self._bundle = None  # the scheme.SchemeBundle of bundle_for
 
@@ -314,7 +319,7 @@ class GeometryCtx:
         PG((n+1)/(k+1)-1, q^(k+1)) under coordinate expansion."""
         self._require_spread_divisibility()
         n, k, q = self.params.n, self.params.k, self.params.q
-        big = field_ctx(q ** (k + 1), cap=q ** (k + 1))
+        big = field_ctx(q ** (k + 1))
         red = FieldReduction(big, self.field)
         m = (n + 1) // (k + 1)
         alpha = big.p if big.e > 1 else 1
@@ -329,40 +334,29 @@ class GeometryCtx:
             members.append(self.kspace_id[sub.basis])
         members.sort()
         spread = tuple(members)
-        if not self._is_partition(spread, self.full_point_mask):
+        if self.union_if_disjoint(spread) != self.full_point_mask:
             raise RuntimeError("field-reduction spread does not partition the points")
         return spread
 
-    def _is_partition(self, ids, target_mask: int) -> bool:
-        union = 0
-        count = 0
-        for c in ids:
-            union |= self.kspace_masks[c]
-            count += self.kspace_masks[c].bit_count()
-        return union == target_mask and count == target_mask.bit_count()
-
-    def is_partial_spread(self, ids) -> bool:
+    def union_if_disjoint(self, ids) -> int | None:
+        """Point mask of the union of k-spaces `ids`, or None when two meet."""
         union = 0
         for c in ids:
             m = self.kspace_masks[c]
             if union & m:
-                return False
+                return None
             union |= m
-        return True
+        return union
+
+    def is_partial_spread(self, ids) -> bool:
+        return self.union_if_disjoint(ids) is not None
 
     def are_conjugate_switching_sets(self, r1, r2) -> bool:
         """Two disjoint partial spreads covering exactly the same points."""
         if set(r1) & set(r2):
             return False
-        if not (self.is_partial_spread(r1) and self.is_partial_spread(r2)):
-            return False
-        union1 = 0
-        for c in r1:
-            union1 |= self.kspace_masks[c]
-        union2 = 0
-        for c in r2:
-            union2 |= self.kspace_masks[c]
-        return union1 == union2
+        union = self.union_if_disjoint(r1)
+        return union is not None and union == self.union_if_disjoint(r2)
 
     def _spread_backtrack(
         self, member_ids, target_mask: int
@@ -407,26 +401,21 @@ class GeometryCtx:
             )
         return self._spread_backtrack(range(len(self.kspaces)), self.full_point_mask)
 
-    def spreads_within(self, sigma: Subspace) -> list[tuple[int, ...]]:
-        """All k-spreads of a (2k+1)-dimensional subspace, as id tuples."""
+    def sigma_spread_masks(self, sigma: Subspace) -> list[int]:
+        """All k-spreads of a (2k+1)-dimensional subspace, as k-space masks,
+        built once per subspace."""
         if sigma.dim != 2 * self.params.k + 1:
             raise ValueError(
                 f"need a {2 * self.params.k + 1}-space, got dim {sigma.dim}"
             )
-        if sigma.basis not in self._sub_spread_cache:
-            tmask = self.point_mask(sigma)
-            members = self.all_in(sigma)
-            self._sub_spread_cache[sigma.basis] = self._spread_backtrack(
-                members, tmask
-            )
-        return self._sub_spread_cache[sigma.basis]
-
-    def sigma_spread_masks(self, sigma: Subspace) -> list[int]:
         if sigma.basis not in self._sub_spread_masks:
-            self._sub_spread_masks[sigma.basis] = [
-                mask_of(s) for s in self.spreads_within(sigma)
-            ]
+            found = self._spread_backtrack(self.all_in(sigma), self.point_mask(sigma))
+            self._sub_spread_masks[sigma.basis] = [mask_of(s) for s in found]
         return self._sub_spread_masks[sigma.basis]
+
+    def spreads_within(self, sigma: Subspace) -> list[tuple[int, ...]]:
+        """sigma_spread_masks(sigma) as id tuples, in increasing id order."""
+        return [ids_of(m) for m in self.sigma_spread_masks(sigma)]
 
     # -- spreads sampled by coordinate permutations ---------------------------
 

@@ -13,8 +13,6 @@ from functools import lru_cache
 
 from .qformulas import factor_prime_power
 
-DEFAULT_Q_CAP = 16
-
 
 def _poly_trim(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
@@ -98,9 +96,7 @@ class FieldCtx:
 
     __slots__ = ("p", "e", "q", "modulus", "_mul", "_inv", "_add", "_neg")
 
-    def __init__(self, q: int, cap: int = DEFAULT_Q_CAP):
-        if q > cap:
-            raise ValueError(f"field size {q} exceeds configured cap {cap}")
+    def __init__(self, q: int):
         self.p, self.e = factor_prime_power(q)
         self.q = q
         self.modulus = canonical_modulus(self.p, self.e)
@@ -166,8 +162,8 @@ class FieldCtx:
 
 
 @lru_cache(maxsize=None)
-def field_ctx(q: int, cap: int = DEFAULT_Q_CAP) -> FieldCtx:
-    return FieldCtx(q, cap=cap)
+def field_ctx(q: int) -> FieldCtx:
+    return FieldCtx(q)
 
 
 class FieldReduction:

@@ -139,7 +139,10 @@ def family_from_text(text: str, ctx: GeometryCtx | None = None) -> CLCandidate:
 def atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".clkset-tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600 -> what open(path, "w") gives
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)

@@ -4,10 +4,11 @@ The incidence matrix A has one row per point and one column per k-space; the
 relation matrices A_i are the 0/1 matrices of "meet in dimension k-i".  Both
 are integer rows, and every rank, kernel, eigenspace and row-space question is
 answered from the certified RREF of linalg.rref_int; nothing here uses
-fractions.  SchemeBundle also keeps the geometry's one spread list, which the
-geometry's point count chooses: every spread up to DEFAULT_SPREAD_POINT_CAP
-points, the field-reduction sample above.  A cached list is used only after
-it is checked against the geometry.
+fractions.  SchemeBundle also keeps the geometry's one spread list, as k-space
+bitmasks, which the geometry's point count chooses: every spread up to
+DEFAULT_SPREAD_POINT_CAP points, rebuilt in each process, the field-reduction
+sample above.  Only the sample is cached, and a cached sample is used only
+after it is checked against the geometry.
 """
 
 from __future__ import annotations
@@ -171,13 +172,12 @@ def full_spectrum_check(ctx: GeometryCtx) -> SpectrumCertificate:
 
 class SchemeBundle:
     """Per-geometry store of the scheme artifacts the battery and the search
-    need: the incidence RREF in integer form, its kernel, spreads."""
+    need: the incidence RREF in integer form, its kernel, spread masks."""
 
     def __init__(self, ctx: GeometryCtx, cache=None):
         self.ctx = ctx
         self.cache = cache
         self._rref: tuple[tuple[int, ...], list[FreeColumn]] | None = None
-        self._spreads: tuple[list[tuple[int, ...]], bool] | None = None
         self._spread_masks: list[int] | None = None
 
     @property
@@ -204,59 +204,49 @@ class SchemeBundle:
     def disjointness_masks(self) -> list[int]:
         return self.relation_masks()[self.params.k + 1]
 
-    def spreads(self) -> tuple[list[tuple[int, ...]], bool]:
-        """(spread list, exhaustive?): every k-spread, by backtracking, when
-        the geometry has at most DEFAULT_SPREAD_POINT_CAP points, otherwise
-        the field-reduction spread and its coordinate-permutation images."""
-        if self._spreads is None:
-            p = self.params
-            if (p.n + 1) % (p.k + 1):
-                self._spreads = [], False
-            else:
-                ctx = self.ctx
-                exhaustive = len(ctx.points) <= DEFAULT_SPREAD_POINT_CAP
-                spreads = self._cached_spreads(exhaustive)
-                if spreads is None:
-                    if exhaustive:
-                        spreads = ctx.enumerate_all_spreads()
-                    else:
-                        spreads = ctx.permuted_spread_sample()
-                    if self.cache:
-                        payload = {"spreads": [list(s) for s in spreads], "exhaustive": exhaustive}
-                        self.cache.put("spreads", p, payload)
-                self._spreads = spreads, exhaustive
-        return self._spreads
-
-    def _cached_spreads(self, exhaustive: bool) -> list[tuple[int, ...]] | None:
-        """The cached spread list if it is one spreads() could have built
-        here: the same exhaustive flag, and a nonempty, sorted, unrepeated
-        list of tuples of k-space ids whose point masks partition the points
-        (one pass per spread).  None for anything else, which is rebuilt."""
-        payload = self.cache.get("spreads", self.params) if self.cache else None
-        try:
-            if payload["exhaustive"] is not exhaustive:
-                return None
-            spreads = [tuple(s) for s in payload["spreads"]]
-        except (KeyError, TypeError):
-            return None
-        masks = self.ctx.kspace_masks
-        for s in spreads:
-            union = 0
-            for c in s:
-                if type(c) is not int or not 0 <= c < len(masks) or union & masks[c]:
-                    return None
-                union |= masks[c]
-            if union != self.ctx.full_point_mask:
-                return None
-        if not spreads or any(a >= b for a, b in zip(spreads, spreads[1:])):
-            return None
-        return spreads
+    def spreads_exhaustive(self) -> bool:
+        """Whether spread_masks() lists every k-spread, which it does up to
+        DEFAULT_SPREAD_POINT_CAP points."""
+        return len(self.ctx.points) <= DEFAULT_SPREAD_POINT_CAP
 
     def spread_masks(self) -> list[int]:
-        """Bitmask (over k-space ids) of each spread in spreads()."""
+        """The geometry's one spread list, as k-space bitmasks: every k-spread,
+        rebuilt by backtracking, when spreads_exhaustive(), otherwise the
+        field-reduction spread and its coordinate-permutation images, read
+        from the cache when a checked entry is there.  Empty when no k-spread
+        exists."""
         if self._spread_masks is None:
-            self._spread_masks = [mask_of(s) for s in self.spreads()[0]]
+            p = self.params
+            if (p.n + 1) % (p.k + 1):
+                spreads = []
+            elif self.spreads_exhaustive():
+                spreads = self.ctx.enumerate_all_spreads()
+            else:
+                spreads = self._cached_sample()
+                if spreads is None:
+                    spreads = self.ctx.permuted_spread_sample()
+                    if self.cache:
+                        self.cache.put("spreads", p, [list(s) for s in spreads])
+            self._spread_masks = [mask_of(s) for s in spreads]
         return self._spread_masks
+
+    def _cached_sample(self) -> list[list[int]] | None:
+        """The cached spread sample if it is one spread_masks() could have
+        built here: a nonempty, sorted, unrepeated list of lists of in-range
+        k-space ids whose point masks partition the points.  None for
+        anything else, which is rebuilt."""
+        payload = self.cache.get("spreads", self.params) if self.cache else None
+        if not payload or type(payload) is not list:
+            return None
+        ctx = self.ctx
+        for s in payload:
+            if type(s) is not list or any(
+                type(c) is not int or not 0 <= c < len(ctx.kspaces) for c in s
+            ):
+                return None
+            if ctx.union_if_disjoint(s) != ctx.full_point_mask:
+                return None
+        return payload if all(a < b for a, b in zip(payload, payload[1:])) else None
 
 
 def bundle_for(ctx: GeometryCtx, cache=None) -> SchemeBundle:

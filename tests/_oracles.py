@@ -415,7 +415,7 @@ BATTERY_ORACLES = {
 # spread masks themselves; a battery now counts them once for both.
 
 
-def _meet_constant_loop(cand, spreads, masks):
+def _meet_constant_loop(cand, masks):
     seen = None
     seen_idx = 0
     for idx, m in enumerate(masks):
@@ -423,10 +423,10 @@ def _meet_constant_loop(cand, spreads, masks):
         if seen is None:
             seen, seen_idx = meet, idx
         elif meet != seen:
-            s = spreads[idx]
+            s0 = masks[seen_idx]
             witness = (
-                tuple(c for c in spreads[seen_idx] if c not in s),
-                tuple(c for c in s if c not in spreads[seen_idx]),
+                tuple(c for c in ids_of(s0) if not (m >> c) & 1),
+                tuple(c for c in ids_of(m) if not (s0 >> c) & 1),
             )
             return False, witness
     return True, None
@@ -436,22 +436,21 @@ def switching_check_loop(cand, bundle):
     ctx = cand.ctx
     p = ctx.params
     if p.n == 2 * p.k + 1:
-        spreads, exhaustive = bundle.spreads()
         masks = bundle.spread_masks()
-        if len(spreads) < 2:
+        if len(masks) < 2:
             return Verdict.SKIPPED, None, "fewer than two spreads known"
-        ok, witness = _meet_constant_loop(cand, spreads, masks)
+        ok, witness = _meet_constant_loop(cand, masks)
         if not ok:
             return Verdict.FAIL, witness, ""
-        if exhaustive:
-            return Verdict.PASS, None, f"{len(spreads)} spreads, all pairs"
-        return Verdict.SAMPLED_PASS, None, f"{len(spreads)} sampled spreads"
+        if bundle.spreads_exhaustive():
+            return Verdict.PASS, None, f"{len(masks)} spreads, all pairs"
+        return Verdict.SAMPLED_PASS, None, f"{len(masks)} sampled spreads"
     checked = 0
     for sigma in ctx.subspaces_of_dim(2 * p.k + 1):
-        spreads = ctx.spreads_within(sigma)
-        if len(spreads) < 2:
+        masks = ctx.sigma_spread_masks(sigma)
+        if len(masks) < 2:
             continue
-        ok, witness = _meet_constant_loop(cand, spreads, ctx.sigma_spread_masks(sigma))
+        ok, witness = _meet_constant_loop(cand, masks)
         if not ok:
             return Verdict.FAIL, ("sigma", sigma.basis, witness), ""
         checked += 1
@@ -464,7 +463,6 @@ def spread_intersections_check_loop(cand, bundle):
     p = cand.ctx.params
     if (p.n + 1) % (p.k + 1):
         return Verdict.SKIPPED, None, f"no k-spreads: {p.k + 1} does not divide {p.n + 1}"
-    spreads, exhaustive = bundle.spreads()
     masks = bundle.spread_masks()
     x = cand.x
     if x.denominator != 1:
@@ -475,9 +473,9 @@ def spread_intersections_check_loop(cand, bundle):
         meet = (m & cand.mask).bit_count()
         if meet != target:
             return Verdict.FAIL, ("spread", idx, "meet", meet, "expected", target), ""
-    if exhaustive:
-        return Verdict.PASS, None, f"all {len(spreads)} spreads"
-    return Verdict.SAMPLED_PASS, None, f"{len(spreads)} sampled spreads"
+    if bundle.spreads_exhaustive():
+        return Verdict.PASS, None, f"all {len(masks)} spreads"
+    return Verdict.SAMPLED_PASS, None, f"{len(masks)} sampled spreads"
 
 
 SPREAD_ORACLES = {

@@ -24,6 +24,11 @@ def pg33_bundle(pg33):
 
 
 @pytest.fixture(scope="session")
+def pg34():
+    return geometry(3, 1, 4)
+
+
+@pytest.fixture(scope="session")
 def pg42():
     return geometry(4, 1, 2)
 

@@ -6,6 +6,7 @@ and no tolerance is applied anywhere except the deliberate cross-check of
 the exact bound comparator against 50-digit floating evaluation.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from clkset import (
     valence,
     within_classification_bound,
 )
+from clkset.geometry import ids_of, mask_of
 from clkset.scheme import bundle_for, full_spectrum_check
 
 
@@ -196,38 +198,45 @@ def _battery_passing_roster(ctx, bundle, wide=False):
 
 @_announce("5 counting-formula-consistency")
 def test_acceptance_5_counting_formulas():
+    """Every disjoint member pair spans exactly one (2k+1)-space sigma, so the
+    pairs are enumerated sigma by sigma, from sigma's members by mask, and
+    the spread meets are counted once per (family, sigma)."""
     for n, k, q in ((3, 1, 2), (5, 1, 2)):
         ctx = geometry(n, k, q)
         bundle = bundle_for(ctx)
         p = ctx.params
         disj = bundle.disjointness_masks()
+        sigmas = [
+            (mask_of(ctx.all_in(sigma)), ctx.sigma_spread_masks(sigma))
+            for sigma in ctx.subspaces_of_dim(2 * k + 1)
+        ]
         for fam in _battery_passing_roster(ctx, bundle, wide=(n == 3)):
             x = fam.x
             s1 = member_meet_count(p, x)
             d2_by_meet = {}
+            disjoint_pairs = 0
             for pi in fam.ids:
-                meets = len(fam) - (disj[pi] & fam.mask).bit_count()
-                assert meets == s1, (n, q, x)
-            for a in fam.ids:
-                partners = disj[a] & fam.mask
-                while partners:
-                    low = partners & -partners
-                    b = low.bit_length() - 1
-                    partners ^= low
-                    if b <= a:
-                        continue
-                    sigma = ctx.span(ctx.kspaces[a], ctx.kspaces[b])
-                    direct = (disj[a] & disj[b] & fam.mask).bit_count()
-                    for spread in ctx.spreads_within(sigma):
-                        meet = 0
-                        for c in spread:
-                            if c in fam:
-                                meet += 1
-                        if meet not in d2_by_meet:
-                            d2_by_meet[meet] = pair_skew_count(p, x, meet)
-                        assert direct == d2_by_meet[meet], (n, q, x, a, b)
-                        if n > 3 * k + 1:
-                            assert meet <= x, (n, q, x, meet)
+                partners = (disj[pi] & fam.mask).bit_count()
+                assert len(fam) - partners == s1, (n, q, x)
+                disjoint_pairs += partners
+            pairs = 0
+            for in_sigma, spread_masks in sigmas:
+                inside = in_sigma & fam.mask
+                meets = {(m & fam.mask).bit_count() for m in spread_masks}
+                for meet in meets - d2_by_meet.keys():
+                    d2_by_meet[meet] = pair_skew_count(p, x, meet)
+                targets = {d2_by_meet[meet] for meet in meets}
+                sigma_pairs = 0
+                for a in ids_of(inside):
+                    for b in ids_of(disj[a] & inside):
+                        if b > a:
+                            direct = (disj[a] & disj[b] & fam.mask).bit_count()
+                            assert targets == {direct}, (n, q, x, a, b)
+                            sigma_pairs += 1
+                if sigma_pairs and n > 3 * k + 1:
+                    assert max(meets) <= math.floor(x), (n, q, x, max(meets))
+                pairs += sigma_pairs
+            assert 2 * pairs == disjoint_pairs, (n, q, x)
 
 
 @_announce("6 bound-evaluator")

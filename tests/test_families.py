@@ -30,6 +30,7 @@ from clkset.families import (
     check_spread_intersections,
     check_switching_pairs,
 )
+from clkset.geometry import mask_of
 from clkset.qformulas import hyperplane_family_parameter, parameter_range
 from _oracles import BATTERY_ORACLES, SPREAD_ORACLES
 
@@ -418,7 +419,7 @@ class TestSpreadMeetsMatchOracles:
 
 class TestSpreadSample:
     def test_built_once_per_geometry(self, pg52, monkeypatch):
-        """Batteries and spreads() on a geometry above the spread point cap
+        """Batteries and spread_masks() on a geometry above the spread point cap
         share one sample, and a shared sample gives the verdicts, witnesses
         and notes of a sample built per battery."""
         from clkset.geometry import GeometryCtx
@@ -449,7 +450,8 @@ class TestSpreadSample:
             ]
             for cand in cands
         ]
-        assert bundle.spreads() == (sample, False)
+        assert bundle.spread_masks() == [mask_of(s) for s in sample]
+        assert not bundle.spreads_exhaustive()
         assert calls == [pg52]
         assert got == expected
         assert {v for rows in got for v, _, _ in rows} >= {Verdict.SAMPLED_PASS, Verdict.FAIL}

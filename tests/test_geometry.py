@@ -4,7 +4,7 @@ import pytest
 from _oracles import coordinate_permutation_images, relation_masks_pairwise
 
 from clkset import GeometrySizeError, SchemeParams, Subspace, geometry, qbinom
-from clkset.geometry import GeometryCtx, ids_of, rref
+from clkset.geometry import GeometryCtx, ids_of, mask_of, rref
 
 
 class TestEnumeration:
@@ -199,6 +199,15 @@ class TestSpreads:
             for c in s:
                 covered |= pg52.kspace_masks[c]
             assert covered == tmask
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_spreads_within_whole_space_match_enumeration(self, q):
+        ctx = geometry(3, 1, q)
+        whole = ctx.subspaces_of_dim(3)[0]
+        assert ctx.sigma_spread_masks(whole) == [
+            mask_of(s) for s in ctx.enumerate_all_spreads()
+        ]
+        assert [mask_of(s) for s in ctx.spreads_within(whole)] == ctx.sigma_spread_masks(whole)
 
     def test_permuted_spread_sample(self, pg33):
         sample = pg33.permuted_spread_sample()

@@ -1,6 +1,6 @@
 import pytest
 
-from clkset import FieldReduction, field_ctx, geometry
+from clkset import FieldReduction, GeometryCtx, SchemeParams, field_ctx, geometry
 from clkset.gf import canonical_modulus
 
 
@@ -38,8 +38,11 @@ class TestFieldAxioms:
             field_ctx(5).inv(0)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            field_ctx(32)
+        # the field-size cap is the geometry's, checked before anything is
+        # counted, so PG(3,32) lines, past both caps, get the field message
+        for n, k in ((1, 0), (3, 1)):
+            with pytest.raises(ValueError, match="field size 32 exceeds configured cap 16"):
+                GeometryCtx(SchemeParams(n=n, k=k, q=32))
 
 
 class TestCanonicalModulus:

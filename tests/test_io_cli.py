@@ -5,7 +5,7 @@ import pytest
 
 from clkset import SchemeBundle, family, geometry, point_pencil_family
 from clkset.cli import main
-from clkset.geometry import GeometryCtx
+from clkset.geometry import GeometryCtx, mask_of
 from clkset.io import (
     CLKSETError,
     DiskCache,
@@ -120,7 +120,7 @@ class TestDiskCache:
         )
         fam_path = str(tmp_path / "f.clkset")
         cache_dir = str(tmp_path / "cache")
-        ctx = geometry(3, 1, 3)
+        ctx = geometry(3, 1, 4)  # above the spread point cap: its sample is cached
         save_family(fam_path, point_pencil_family(ctx, 0))
         runs = []
         for _ in range(2):
@@ -161,61 +161,107 @@ class TestDiskCache:
             {"spreads": [], "exhaustive": True},
             {"spreads": [["0"]], "exhaustive": True},
             None,
+            [[0, 1, 2, 3, 4]],  # not a partition
+            5,
+            [],
+            [["0"]],
+            [[0.0]],
         ],
     )
-    def test_foreign_spread_entries_rebuilt(self, pg32, tmp_path, payload):
+    def test_foreign_spread_entries_rebuilt(self, pg34, tmp_path, payload):
         cache = DiskCache(str(tmp_path / "cache"))
-        cache.put("spreads", pg32.params, payload)
-        spreads = pg32.enumerate_all_spreads()
-        assert SchemeBundle(pg32, cache).spreads() == (spreads, True)
-        assert cache.get("spreads", pg32.params) == {
-            "spreads": [list(s) for s in spreads], "exhaustive": True
-        }
+        cache.put("spreads", pg34.params, payload)
+        sample = pg34.permuted_spread_sample()
+        assert SchemeBundle(pg34, cache).spread_masks() == [mask_of(s) for s in sample]
+        assert cache.get("spreads", pg34.params) == [list(s) for s in sample]
 
-    def test_spread_entries_checked_spread_by_spread(self, pg32, tmp_path):
+    def test_spread_entries_checked_spread_by_spread(self, pg34, tmp_path):
         cache = DiskCache(str(tmp_path / "cache"))
-        spreads = [list(s) for s in pg32.enumerate_all_spreads()]
-        c = next(c for c in range(35) if c not in spreads[0])
+        sample = pg34.permuted_spread_sample()
+        spreads = [list(s) for s in sample]
+        c = next(c for c in range(357) if c not in spreads[0])
         foreign = [
-            {"spreads": spreads, "exhaustive": False},  # built another way
-            {"spreads": spreads[::-1], "exhaustive": True},
-            {"spreads": spreads + spreads[-1:], "exhaustive": True},
-            {"spreads": spreads[:-1] + [spreads[-1] + spreads[-1][:1]], "exhaustive": True},
-            {"spreads": spreads[:-1] + [spreads[-1][:-1] + [35]], "exhaustive": True},
-            {"spreads": spreads[:-1] + [spreads[-1][:-1] + [True]], "exhaustive": True},
-            {"spreads": spreads[:-1] + [sorted(spreads[0][1:] + [c])], "exhaustive": True},
+            {"spreads": spreads, "exhaustive": False},  # the former entry shape
+            spreads[::-1],
+            spreads + spreads[-1:],
+            spreads[:-1] + [spreads[-1] + spreads[-1][:1]],
+            spreads[:-1] + [spreads[-1][:-1] + [357]],
+            spreads[:-1] + [spreads[-1][:-1] + [True]],
+            spreads[:-1] + [sorted(spreads[0][1:] + [c])],
         ]
         for payload in foreign:
-            cache.put("spreads", pg32.params, payload)
-            assert SchemeBundle(pg32, cache).spreads() == (pg32.enumerate_all_spreads(), True)
+            cache.put("spreads", pg34.params, payload)
+            got = SchemeBundle(pg34, cache).spread_masks()
+            assert got == [mask_of(s) for s in sample]
 
-    def test_checked_spread_entries_are_read_back(self, pg32, pg52, tmp_path, monkeypatch):
+    def test_checked_spread_entries_are_read_back(self, pg34, pg52, tmp_path, monkeypatch):
         cache = DiskCache(str(tmp_path / "cache"))
-        built = [SchemeBundle(ctx, cache).spreads() for ctx in (pg32, pg52)]
-        assert [exhaustive for _, exhaustive in built] == [True, False]
+        bundles = [SchemeBundle(ctx, cache) for ctx in (pg34, pg52)]
+        built = [bundle.spread_masks() for bundle in bundles]
+        assert not any(bundle.spreads_exhaustive() for bundle in bundles)
 
         def refuse(ctx):
             raise AssertionError("cached spreads were rebuilt")
 
         monkeypatch.setattr(GeometryCtx, "enumerate_all_spreads", refuse)
         monkeypatch.setattr(GeometryCtx, "permuted_spread_sample", refuse)
-        assert [SchemeBundle(ctx, cache).spreads() for ctx in (pg32, pg52)] == built
+        assert [SchemeBundle(ctx, cache).spread_masks() for ctx in (pg34, pg52)] == built
 
     @pytest.mark.parametrize(
-        "payload", [{"spreads": [[0, 1, 2, 3, 4]], "exhaustive": True}, [["a"]]]
+        "payload",
+        [
+            {"spreads": [[0, 1, 2, 3, 4]], "exhaustive": True},
+            [["a"]],
+            [[0, 1, 2, 3, 4]],
+        ],
     )
     def test_verify_rebuilds_foreign_spread_entry(self, tmp_path, capsys, monkeypatch, payload):
-        monkeypatch.setattr(geometry(3, 1, 2), "_bundle", None)  # read the cache afresh
+        monkeypatch.setattr(geometry(3, 1, 4), "_bundle", None)  # read the cache afresh
         out = str(tmp_path / "p.clkset")
-        main(["construct", "--kind", "pencil", "--n", "3", "--q", "2", "--k",
+        main(["construct", "--kind", "pencil", "--n", "3", "--q", "4", "--k",
               "1", "--out", out])
         cache = DiskCache(str(tmp_path / "cache"))
-        params = SchemeParams(n=3, k=1, q=2)
+        params = SchemeParams(n=3, k=1, q=4)
         cache.put("spreads", params, payload)
         capsys.readouterr()
         assert main(["verify", "--in", out, "--cache-dir", cache.directory]) == 0
-        assert "spread-intersections: pass (all 56 spreads)" in capsys.readouterr().out
-        assert len(cache.get("spreads", params)["spreads"]) == 56
+        assert "spread-intersections: sampled-pass (12 sampled spreads)" in capsys.readouterr().out
+        assert len(cache.get("spreads", params)) == 12
+
+    def test_exhaustive_spread_list_never_read_from_cache(
+        self, pg32, tmp_path, capsys, monkeypatch
+    ):
+        """A PG(3,2) entry in the former shape that lists one true spread as
+        the whole list is not read: all 56 spreads are counted, so a 7-line
+        family meeting that spread once fails spread-intersections instead of
+        passing it against the other checks, and nothing is written."""
+        import random
+
+        monkeypatch.setattr(pg32, "_bundle", None)  # build the spreads afresh
+        spread = pg32.enumerate_all_spreads()[0]
+        rng = random.Random(1)
+        bad = next(
+            fam
+            for fam in (family(pg32, rng.sample(range(35), 7)) for _ in range(1000))
+            if (fam.mask & mask_of(spread)).bit_count() == 1
+        )
+        path = str(tmp_path / "bad.clkset")
+        save_family(path, bad)
+        cache = DiskCache(str(tmp_path / "cache"))
+        cache.put("spreads", pg32.params, {"spreads": [list(spread)], "exhaustive": True})
+        entry_path = cache._path("spreads", pg32.params)
+        with open(entry_path) as handle:
+            entry = handle.read()
+        fresh = str(tmp_path / "fresh")
+        capsys.readouterr()
+        for directory in (cache.directory, fresh):
+            assert main(["verify", "--in", path, "--cache-dir", directory]) == 1
+            lines = capsys.readouterr().out.splitlines()
+            assert any(line.startswith("spread-intersections: fail ") for line in lines)
+        assert os.listdir(cache.directory) == [os.path.basename(entry_path)]
+        with open(entry_path) as handle:
+            assert handle.read() == entry
+        assert not os.path.exists(fresh)
 
 
 class TestCLI:
@@ -281,9 +327,9 @@ class TestCLI:
         assert f"spread-intersections: {note}" in capsys.readouterr().out.splitlines()
 
     def test_verify_unusable_cache_dir_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(geometry(3, 1, 2), "_bundle", None)  # spreads not yet built
+        monkeypatch.setattr(geometry(3, 1, 4), "_bundle", None)  # sample not yet built
         out = str(tmp_path / "p.clkset")
-        main(["construct", "--kind", "pencil", "--n", "3", "--q", "2", "--k",
+        main(["construct", "--kind", "pencil", "--n", "3", "--q", "4", "--k",
               "1", "--out", out])
         (tmp_path / "notadir").write_text("")
         cache = str(tmp_path / "notadir" / "sub")
@@ -324,6 +370,45 @@ class TestCLI:
         path = tmp_path / "junk.clkset"
         path.write_text("not a header\n")
         assert main(["verify", "--in", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--in", "{huge}", "--cache-dir", "{cache}"],
+            ["search", "--n", "100000000", "--q", "2", "--k", "1", "--x", "1",
+             "--cache-dir", "{cache}"],
+            ["construct", "--kind", "pencil", "--n", "100000000", "--q", "2",
+             "--k", "1", "--out", "{out}"],
+        ],
+    )
+    def test_huge_n_refused_before_counting(self, tmp_path, capsys, argv):
+        import time
+
+        huge = tmp_path / "huge.clkset"
+        huge.write_text("CLKSET v1\n100000000 2 1\n")
+        out = str(tmp_path / "out.clkset")
+        cache = tmp_path / "c"
+        argv = [a.format(huge=huge, out=out, cache=cache) for a in argv]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exceeding the cap of 1000000" in capsys.readouterr().err
+        assert not os.path.exists(out) and not cache.exists()
+
+    def test_written_files_follow_umask(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            out = str(tmp_path / "p.clkset")
+            assert main(["construct", "--kind", "pencil", "--n", "3", "--q", "2",
+                         "--k", "1", "--out", out]) == 0
+            out_dir = tmp_path / "results"
+            assert main(["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1",
+                         "--out", str(out_dir), "--cache-dir", str(tmp_path / "c")]) == 0
+        finally:
+            os.umask(previous)
+        written = [out] + [str(f) for f in out_dir.iterdir()]
+        assert len(written) == 32
+        assert {os.stat(f).st_mode & 0o777 for f in written} == {0o644}
 
     def test_construct_spread(self, tmp_path):
         out = str(tmp_path / "spread.clkset")

@@ -224,15 +224,15 @@ class TestBundle:
             check_rref_certificate(rows, pivots, tampered)
 
     def test_later_cache_replaces_earlier(self, tmp_path):
-        ctx = GeometryCtx(SchemeParams(n=3, k=1, q=2))
+        ctx = GeometryCtx(SchemeParams(n=3, k=1, q=4))  # its spread sample is cached
         first, second = DiskCache(str(tmp_path / "A")), DiskCache(str(tmp_path / "B"))
         assert bundle_for(ctx, first).cache is first
         bundle = bundle_for(ctx, second)
         assert bundle.cache is second
         assert bundle_for(ctx).cache is second  # no cache given: keep the current one
-        bundle.spreads()
+        bundle.spread_masks()
         assert not (tmp_path / "A").exists()
-        assert [f.name for f in (tmp_path / "B").iterdir()] == ["spreads_n3_q2_k1_v1.json"]
+        assert [f.name for f in (tmp_path / "B").iterdir()] == ["spreads_n3_q4_k1_v1.json"]
 
     def test_dropped_ctx_is_freed(self):
         import gc
