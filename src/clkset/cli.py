@@ -83,8 +83,26 @@ def _emit(data: dict, fmt: str) -> None:
                 print(f"{key} = {value}")
 
 
+def _require_printable(p: SchemeParams) -> None:
+    """Refuse parameters whose central q-binomial, printed by `formulas`, has
+    more digits than Python prints (sys.get_int_max_str_digits): it is at
+    least q^(a*b) with a = floor((n+1)/2), b = n+1-a."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    a = (p.n + 1) // 2
+    exponent = a * (p.n + 1 - a)
+    lower = (p.q.bit_length() - 1) * exponent  # q^exponent >= 2^lower
+    if lower >= 4 * limit or p.q**exponent >= 10**limit:  # 2^(4*limit) > 10^limit
+        raise ValueError(
+            f"PG({p.n},{p.q}) k={p.k}: qbinom({p.n + 1}, {a}, {p.q}) has more than "
+            f"{limit} digits, the most Python prints (sys.set_int_max_str_digits)"
+        )
+
+
 def cmd_formulas(args) -> int:
     p = _params(args)
+    _require_printable(p)
     data: dict = {
         "params": f"PG({p.n},{p.q}) k={p.k}",
         "points": p.num_points,

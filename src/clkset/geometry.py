@@ -5,7 +5,9 @@ equal exactly when they describe the same subspace.  A GeometryCtx fixes a
 deterministic id order (lexicographic on the flattened canonical matrices)
 for the points and the k-spaces, and precomputes the incidence bitmasks the
 rest of the package runs on.  Spreads are kept as k-space bitmasks too, one
-list per (2k+1)-space; the public enumerators return them as id tuples.
+list per (2k+1)-space; the public enumerators return them as id tuples.  Each
+(2k+1)-space's spreads are carried from one backtrack by rank order (see
+GeometryCtx.sigma_spread_masks).
 """
 
 from __future__ import annotations
@@ -179,6 +181,7 @@ class GeometryCtx:
         self._relations: list[list[int]] | None = None
         self._mask_cache: dict[tuple[tuple[int, ...], ...], int] = {}
         self._sub_spread_masks: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+        self._sigma0_spreads: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None = None
         self._bundle = None  # the scheme.SchemeBundle of bundle_for
 
     # -- enumeration ------------------------------------------------------
@@ -401,16 +404,69 @@ class GeometryCtx:
             )
         return self._spread_backtrack(range(len(self.kspaces)), self.full_point_mask)
 
+    def _local_spreads(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """The spreads of sigma0, the first (2k+1)-space, by rank: every k-space
+        of sigma0 as the ranks of its points among sigma0's points, and every
+        spread as the ranks of its k-spaces among sigma0's k-spaces, both lists
+        in increasing id order.  Backtracked once per geometry."""
+        if self._sigma0_spreads is None:
+            p = self.params
+            sigma0 = self.subspaces_of_dim(2 * p.k + 1)[0]
+            target = self.point_mask(sigma0)
+            members = self.all_in(sigma0)
+            point_rank = {pid: i for i, pid in enumerate(ids_of(target))}
+            kspaces = [
+                tuple(point_rank[pid] for pid in ids_of(self.kspace_masks[c]))
+                for c in members
+            ]
+            if len(members) != qbinom(2 * p.k + 2, p.k + 1, p.q) or any(
+                len(s) != qbinom(p.k + 1, 1, p.q) for s in kspaces
+            ):
+                raise RuntimeError(f"the k-space masks of {sigma0.basis} are not its k-spaces")
+            kspace_rank = {c: i for i, c in enumerate(members)}
+            spreads = [
+                tuple(kspace_rank[c] for c in s)
+                for s in self._spread_backtrack(members, target)
+            ]
+            self._sigma0_spreads = (kspaces, spreads)
+        return self._sigma0_spreads
+
     def sigma_spread_masks(self, sigma: Subspace) -> list[int]:
-        """All k-spreads of a (2k+1)-dimensional subspace, as k-space masks,
-        built once per subspace."""
+        """All k-spreads of a (2k+1)-dimensional subspace, as k-space masks in
+        increasing id-tuple order, built once per subspace.
+
+        They are carried from sigma0's spreads (`_local_spreads`) by rank.  With
+        B the RREF basis of sigma, c -> c.B maps the coordinates of PG(2k+1,q)
+        onto sigma and is strictly increasing in lexicographic order: c.B agrees
+        with c on B's pivot columns, and before the pivot of row i it depends on
+        c_0..c_(i-1) alone.  For a local RREF matrix M, M.B is again in RREF, so
+        canonical points and bases map to canonical ones and the flattened order
+        is kept.  Hence the i-th point of sigma is the image of the i-th point
+        of sigma0, and the i-th k-space of sigma that of the i-th k-space of
+        sigma0.  Each carried k-space is found as the AND of the pencils of its
+        points; that it is one k-space, and that the ids increase, certify that
+        the rank map is a collineation which keeps the order."""
         if sigma.dim != 2 * self.params.k + 1:
             raise ValueError(
                 f"need a {2 * self.params.k + 1}-space, got dim {sigma.dim}"
             )
         if sigma.basis not in self._sub_spread_masks:
-            found = self._spread_backtrack(self.all_in(sigma), self.point_mask(sigma))
-            self._sub_spread_masks[sigma.basis] = [mask_of(s) for s in found]
+            kspaces, spreads = self._local_spreads()
+            pts = ids_of(self.point_mask(sigma))
+            pencils = self.pencil_masks
+            bits = []
+            for ranks in kspaces:
+                star = self.full_kspace_mask
+                for i in ranks:
+                    star &= pencils[pts[i]]
+                if star.bit_count() != 1 or (bits and star <= bits[-1]):
+                    raise RuntimeError(
+                        f"the rank map onto {sigma.basis} is not an order-keeping collineation"
+                    )
+                bits.append(star)
+            self._sub_spread_masks[sigma.basis] = [
+                sum(map(bits.__getitem__, s)) for s in spreads
+            ]
         return self._sub_spread_masks[sigma.basis]
 
     def spreads_within(self, sigma: Subspace) -> list[tuple[int, ...]]:

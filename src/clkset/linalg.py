@@ -30,12 +30,14 @@ class CertificateError(ArithmeticError):
     """An RREF candidate failed its exact check over the integers."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981  # about 3.3 * 10^24
 
 
 def _is_prime(n: int) -> bool:
-    """Miller–Rabin with the first twelve primes as bases: deterministic for
-    every n below 3.3 * 10^24, far above the 61-bit range used here."""
+    """Miller–Rabin with the first thirteen primes as bases: deterministic for
+    every n below MR_EXACT_BELOW, far above the 61-bit range of the modular
+    primes; above it a False is still exact, a True only probable."""
     if n < 2:
         return False
     for b in _MR_BASES:

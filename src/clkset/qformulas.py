@@ -13,42 +13,53 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import MR_EXACT_BELOW, _is_prime
+
+
+def _iroot(q: int, e: int) -> int:
+    """floor(q ** (1/e)) for q >= 1, by integer Newton steps from above."""
+    x = 1 << -(-q.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p**e and p prime; raise ValueError otherwise."""
+    """Return (p, e) with q = p**e and p prime; raise ValueError otherwise.
+
+    The largest e for which q is an exact e-th power gives the only
+    candidate p; q is a prime power exactly when that root is prime."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power (need q >= 2)")
-    p = None
-    m = q
-    for d in range(2, q + 1):
-        if d * d > q:
+    for e in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, e)
+        if p**e == q:
             break
-        if m % d == 0:
-            p = d
-            break
-    if p is None:
-        return q, 1  # q itself is prime
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} = {_factorization_hint(q)} is not a prime power")
+    if not _is_prime(p):
+        raise ValueError(f"{q}{_factorization_hint(q)} is not a prime power")
+    if p >= MR_EXACT_BELOW:
+        raise ValueError(f"cannot decide exactly whether {p} is prime (not below {MR_EXACT_BELOW})")
     return p, e
 
 
 def _factorization_hint(q: int) -> str:
+    """The " = a·b·…" of an error message: q's prime factors below 1024, then
+    what is left; empty when q has no such factor."""
     parts = []
     m = q
     d = 2
-    while d * d <= m:
+    while d < 1024 and d * d <= m:
         while m % d == 0:
             parts.append(d)
             m //= d
         d += 1
+    if not parts:
+        return ""
     if m > 1:
         parts.append(m)
-    return "·".join(str(p) for p in parts)
+    return " = " + "·".join(str(p) for p in parts)
 
 
 def is_prime_power(q: int) -> bool:

@@ -9,7 +9,7 @@ from math import gcd, lcm
 
 from clkset import GeometryCtx
 from clkset.families import Verdict
-from clkset.geometry import ids_of
+from clkset.geometry import ids_of, mask_of
 from clkset.qformulas import eigenvalue_p, meet_count_target, qbinom, valence
 from clkset.scheme import q_disjoint_coefficient, v1_eigen_check
 
@@ -48,6 +48,25 @@ def count_subspaces_bruteforce(a: int, b: int, q: int) -> int:
         if len(span) == q**b:  # rows independent
             spans.add(frozenset(span))
     return len(spans)
+
+
+def sigma_spread_masks_backtrack(ctx: GeometryCtx, sigma) -> list[int]:
+    """All k-spreads of a (2k+1)-space by backtracking over its own k-spaces,
+    as k-space masks in increasing id-tuple order."""
+    found = ctx._spread_backtrack(ctx.all_in(sigma), ctx.point_mask(sigma))
+    return [mask_of(s) for s in found]
+
+
+def factor_prime_power_trial(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p**e and p prime by trial division, or None."""
+    if q < 2:
+        return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 def disjoint_count_bruteforce(ctx: GeometryCtx, m: int, j: int) -> int:

@@ -1,7 +1,11 @@
 from collections import Counter
 
 import pytest
-from _oracles import coordinate_permutation_images, relation_masks_pairwise
+from _oracles import (
+    coordinate_permutation_images,
+    relation_masks_pairwise,
+    sigma_spread_masks_backtrack,
+)
 
 from clkset import GeometrySizeError, SchemeParams, Subspace, geometry, qbinom
 from clkset.geometry import GeometryCtx, ids_of, mask_of, rref
@@ -215,6 +219,79 @@ class TestSpreads:
         for s in sample:
             assert pg33.is_partial_spread(s) and len(s) == 10
         assert sample == sorted(coordinate_permutation_images(pg33, pg33.construct_spread()))
+
+
+class TestSigmaSpreads:
+    """Spreads of every (2k+1)-space carried by rank order from one backtrack."""
+
+    @pytest.mark.parametrize("n, k, q, picks", [
+        (4, 1, 2, None),
+        (5, 1, 2, None),
+        (4, 1, 3, "ends"),
+    ])
+    def test_carried_spreads_match_backtrack(self, n, k, q, picks):
+        ctx = GeometryCtx(SchemeParams(n=n, k=k, q=q))
+        sigmas = ctx.subspaces_of_dim(2 * k + 1)
+        if picks == "ends":
+            sigmas = [sigmas[0], sigmas[len(sigmas) // 2], sigmas[-1]]
+        for sigma in sigmas:
+            expected = sigma_spread_masks_backtrack(ctx, sigma)
+            assert ctx.sigma_spread_masks(sigma) == expected
+            assert ctx.spreads_within(sigma) == [ids_of(m) for m in expected]
+
+    def test_rank_map_is_the_basis_map(self, pg32, pg52):
+        """c -> c.B carries the i-th point and the i-th line of PG(3,2) to the
+        i-th point and the i-th line, by id, of every solid of PG(5,2)."""
+        field = pg52.field
+
+        def image(vec, basis):
+            out = [0] * 6
+            for c, row in zip(vec, basis):
+                for j, v in enumerate(row):
+                    out[j] = field.add(out[j], field.mul(c, v))
+            return tuple(out)
+
+        for sigma in pg52.subspaces_of_dim(3):
+            points = [pg52.point_id[image(v, sigma.basis)] for v in pg32.points]
+            assert tuple(points) == ids_of(pg52.point_mask(sigma))
+            lines = [
+                pg52.kspace_id[tuple(image(row, sigma.basis) for row in line.basis)]
+                for line in pg32.kspaces
+            ]
+            assert tuple(lines) == pg52.all_in(sigma)
+
+    def test_one_backtrack_per_geometry(self, monkeypatch):
+        calls = []
+        backtrack = GeometryCtx._spread_backtrack
+
+        def counted(self, member_ids, target_mask):
+            calls.append(target_mask)
+            return backtrack(self, member_ids, target_mask)
+
+        monkeypatch.setattr(GeometryCtx, "_spread_backtrack", counted)
+        ctx = GeometryCtx(SchemeParams(n=5, k=1, q=2))
+        sigmas = ctx.subspaces_of_dim(3)
+        assert len(sigmas) == 651
+        assert all(len(ctx.sigma_spread_masks(sigma)) == 56 for sigma in sigmas)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("corruption", ["other line", "point dropped", "triangle", "point outside"])
+    def test_corrupted_kspace_mask_raises(self, corruption):
+        ctx = GeometryCtx(SchemeParams(n=4, k=1, q=2))
+        sigma0 = ctx.subspaces_of_dim(3)[0]
+        first, second = ctx.all_in(sigma0)[:2]
+        mask = ctx.kspace_masks[first]
+        top = 1 << (mask.bit_length() - 1)
+        inside = ctx.point_mask(sigma0) & ~mask
+        outside = ctx.full_point_mask & ~ctx.point_mask(sigma0)
+        ctx.kspace_masks[first] = {
+            "other line": ctx.kspace_masks[second],
+            "point dropped": mask & ~top,
+            "triangle": mask & ~top | inside & -inside,
+            "point outside": mask & ~top | outside & -outside,
+        }[corruption]
+        with pytest.raises(RuntimeError):
+            ctx.sigma_spread_masks(ctx.subspaces_of_dim(3)[-1])
 
 
 class TestSwitchingSets:

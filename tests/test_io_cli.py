@@ -284,6 +284,15 @@ class TestCLI:
         assert main(["formulas", "--n", "3", "--q", "6", "--k", "1"]) == 2
         assert "not a prime power" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["10000", "1000000"])
+    def test_formulas_refuses_unprintable_n(self, capsys, n):
+        import time
+
+        start = time.perf_counter()
+        assert main(["formulas", "--n", n, "--q", "2", "--k", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "digits, the most Python prints" in capsys.readouterr().err
+
     def test_construct_and_verify_pencil(self, tmp_path, capsys):
         out = str(tmp_path / "pencil.clkset")
         assert (

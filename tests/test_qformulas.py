@@ -1,10 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from _oracles import (
     count_subspaces_bruteforce,
     disjoint_count_bruteforce,
+    factor_prime_power_trial,
     first_disjoint_pair,
     skew_pair_profile_bruteforce,
     valence_distribution_bruteforce,
@@ -48,6 +50,28 @@ def test_prime_power_decomposition():
         with pytest.raises(ValueError):
             factor_prime_power(bad)
     assert is_prime_power(8) and not is_prime_power(6)
+
+
+def test_prime_power_decomposition_matches_trial_division():
+    for q in range(5000):
+        expected = factor_prime_power_trial(q)
+        if expected is None:
+            with pytest.raises(ValueError):
+                factor_prime_power(q)
+        else:
+            assert factor_prime_power(q) == expected
+
+
+def test_prime_power_decomposition_of_large_q():
+    start = time.perf_counter()
+    assert factor_prime_power(10**14 + 31) == (10**14 + 31, 1)
+    assert time.perf_counter() - start < 0.05
+    assert factor_prime_power(2**100) == (2, 100)
+    assert factor_prime_power((2**61 - 1) ** 3) == (2**61 - 1, 3)
+    with pytest.raises(ValueError, match="not a prime power"):
+        factor_prime_power((10**7 + 19) * (10**7 + 79))
+    with pytest.raises(ValueError, match="cannot decide"):
+        factor_prime_power(2**127 - 1)  # prime, above the exact Miller–Rabin range
 
 
 class TestQbinom:
