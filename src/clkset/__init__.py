@@ -51,7 +51,6 @@ from .scheme import (
     v1_eigen_check,
 )
 from .search import (
-    SearchConfig,
     SearchResult,
     max_disjoint_subfamily,
     nonexistence_window,

@@ -44,7 +44,7 @@ from .qformulas import (
     within_classification_bound,
 )
 from .scheme import bundle_for
-from .search import SearchConfig, nonexistence_window, search_all
+from .search import nonexistence_window, search_all
 
 EXIT_OK = 0
 EXIT_BATTERY_FAIL = 1
@@ -216,6 +216,19 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _window_line(row: dict) -> str:
+    """The summary.txt line of a window row, from its JSON record."""
+    line = f"x={row['x']} size={row['size']} families={row['families']}"
+    if row["reason"]:
+        line += f" reason={row['reason']}"
+    if row["within_bound"] is not None:
+        line += f" within_bound={row['within_bound']}"
+    audit = row["skew_exclusion"]
+    if audit is not None:
+        line += f" skew_exclusion(holds={audit['holds']}, lhs={audit['lhs']}, rhs={audit['rhs']})"
+    return line
+
+
 def cmd_search(args) -> int:
     p = _params(args)
     ctx = geometry(p.n, p.k, p.q)
@@ -227,61 +240,40 @@ def cmd_search(args) -> int:
         except OSError as exc:
             print(f"error: cannot use output directory: {exc}", file=sys.stderr)
             return EXIT_INPUT
-    bundle = bundle_for(ctx, DiskCache(resolve_cache_dir(args.cache_dir)))
-    config = SearchConfig(threads=args.threads)
-    summary_lines = []
+    bundle_for(ctx, DiskCache(resolve_cache_dir(args.cache_dir)))
     payload: dict = {"n": p.n, "q": p.q, "k": p.k}
+    families = ()
     if args.window:
         lo, hi = args.window
-        report = nonexistence_window(ctx, lo, hi, config, bundle)
-        total = sum(r.families for r in report.rows)
-        rows = []
-        for row in report.rows:
-            line = (
-                f"x={row.x} size={row.size} families={row.families}"
-                + (f" reason={row.reason}" if row.reason else "")
-                + (
-                    f" within_bound={row.within_bound}"
-                    if row.within_bound is not None
-                    else ""
-                )
-            )
-            audit = row.skew_audit
-            if audit is not None:
-                line += (
-                    f" skew_exclusion(holds={audit.holds},"
-                    f" lhs={audit.lhs}, rhs={audit.rhs})"
-                )
-            summary_lines.append(line)
-            rows.append(
-                {
-                    "x": str(row.x),
-                    "size": row.size,
-                    "families": row.families,
-                    "reason": row.reason,
-                    "within_bound": row.within_bound,
-                    "skew_exclusion": None
-                    if audit is None
-                    else {
-                        "holds": audit.holds,
-                        "lhs": str(audit.lhs),
-                        "rhs": str(audit.rhs),
-                    },
-                }
-            )
-        summary_lines.append(f"total: {total} families")
+        rows = [
+            {
+                "x": str(row.x),
+                "size": row.size,
+                "families": row.families,
+                "reason": row.reason,
+                "within_bound": row.within_bound,
+                "skew_exclusion": None
+                if row.skew_audit is None
+                else {
+                    "holds": row.skew_audit.holds,
+                    "lhs": str(row.skew_audit.lhs),
+                    "rhs": str(row.skew_audit.rhs),
+                },
+            }
+            for row in nonexistence_window(ctx, lo, hi, args.threads)
+        ]
+        total = sum(row["families"] for row in rows)
         payload.update(window=[str(lo), str(hi)], rows=rows, total=total)
+        summary_lines = [*map(_window_line, rows), f"total: {total} families"]
         text = f"{total} families"
-        families = []
     else:
-        result = search_all(ctx, args.x, config, bundle)
-        families = result.families
-        stats = result.stats
-        summary_lines.append(
+        result = search_all(ctx, args.x, args.threads)
+        families, stats = result.families, result.stats
+        summary_lines = [
             f"x={args.x} families={len(families)}"
-            + (f" reason={result.reason}" if result.reason else "")
-        )
-        summary_lines.append(f"nodes={stats.nodes} prunes={stats.prunes}")
+            + (f" reason={result.reason}" if result.reason else ""),
+            f"nodes={stats.nodes} prunes={stats.prunes}",
+        ]
         payload.update(
             x=str(args.x),
             families=[list(fam) for fam in families],

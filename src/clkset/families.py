@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import GeometryCtx, Subspace, ids_of, mask_of
+from .geometry import GeometryCtx, GeometrySizeError, Subspace, ids_of, mask_of
 from .linalg import first_residual
 from .qformulas import (
     eigenvalue_p,
@@ -398,7 +398,10 @@ def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) ->
         return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(masks)} sampled spreads")
     checked = 0
     for sigma in ctx.subspaces_of_dim(2 * p.k + 1):
-        masks = ctx.sigma_spread_masks(sigma)
+        try:
+            masks = ctx.sigma_spread_masks(sigma)
+        except GeometrySizeError as exc:  # the cap is the same for every sigma
+            return CheckResult(Verdict.SKIPPED, note=str(exc))
         if len(masks) < 2:
             continue
         smeets = [(m & cand.mask).bit_count() for m in masks]
@@ -494,11 +497,18 @@ def run_battery(
     config: BatteryConfig | None = None,
 ) -> BatteryReport:
     """Run every enabled definition check; raise BatteryDisagreement unless
-    the conclusive verdicts agree."""
+    the conclusive verdicts agree.  The bundle must be one built for the
+    family's own GeometryCtx."""
+    p = cand.ctx.params
+    if bundle.ctx is not cand.ctx:
+        b = bundle.params
+        raise ValueError(
+            f"bundle built for PG({b.n},{b.q}) k={b.k}, not for the family's "
+            f"geometry PG({p.n},{p.q}) k={p.k}"
+        )
     if config is None:
         config = BatteryConfig()
     report = BatteryReport(x=cand.x, size=len(cand))
-    p = cand.ctx.params
     meets = None
     for name in config.checks:
         if name not in _CHECKS:

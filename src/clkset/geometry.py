@@ -411,6 +411,12 @@ class GeometryCtx:
         in increasing id order.  Backtracked once per geometry."""
         if self._sigma0_spreads is None:
             p = self.params
+            npts = qbinom(2 * p.k + 2, 1, p.q)
+            if npts > DEFAULT_SPREAD_POINT_CAP:
+                raise GeometrySizeError(
+                    f"spread enumeration guard: a {2 * p.k + 1}-space has {npts} points, "
+                    f"exceeding cap {DEFAULT_SPREAD_POINT_CAP}"
+                )
             sigma0 = self.subspaces_of_dim(2 * p.k + 1)[0]
             target = self.point_mask(sigma0)
             members = self.all_in(sigma0)
@@ -433,7 +439,8 @@ class GeometryCtx:
 
     def sigma_spread_masks(self, sigma: Subspace) -> list[int]:
         """All k-spreads of a (2k+1)-dimensional subspace, as k-space masks in
-        increasing id-tuple order, built once per subspace.
+        increasing id-tuple order, built once per subspace; refused above
+        DEFAULT_SPREAD_POINT_CAP points per subspace, like enumerate_all_spreads.
 
         They are carried from sigma0's spreads (`_local_spreads`) by rank.  With
         B the RREF basis of sigma, c -> c.B maps the coordinates of PG(2k+1,q)

@@ -1,8 +1,8 @@
 """Exhaustive search for families with a given parameter.
 
 There is one engine, and its one setting is the number of worker processes
-(`SearchConfig.threads`), which partitions the tree at the root without
-changing the families or their order.  It branches only on the pivot columns
+(`threads`), which partitions the tree at the root without changing the
+families or their order.  It branches only on the pivot columns
 of the incidence matrix's RREF: the remaining coordinates of any admissible
 characteristic vector are linear functions of the pivot coordinates
 (orthogonality to the kernel of A), so they are forced, interval-pruned while
@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import BatteryConfig, CLCandidate, run_battery
+from .families import CLCandidate, run_battery
 from .geometry import GeometryCtx, ids_of, mask_of
 from .qformulas import (
     excludes_skew_subfamily,
@@ -46,14 +46,9 @@ from .qformulas import (
     valence,
     within_classification_bound,
 )
-from .scheme import SchemeBundle, bundle_for
+from .scheme import bundle_for
 
 DEFAULT_SEARCH_CAP = 2000
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    threads: int = 1
 
 
 @dataclass
@@ -64,20 +59,8 @@ class SearchStats:
     prunes: dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
 
-    def bump(self, rule: str) -> None:
-        self.prunes[rule] = self.prunes.get(rule, 0) + 1
-
-    def merged(self, other: "SearchStats") -> "SearchStats":
-        out = SearchStats(
-            nodes=self.nodes + other.nodes,
-            forced=self.forced + other.forced,
-            leaves=self.leaves + other.leaves,
-            prunes=dict(self.prunes),
-            wall_seconds=self.wall_seconds + other.wall_seconds,
-        )
-        for k, v in other.prunes.items():
-            out.prunes[k] = out.prunes.get(k, 0) + v
-        return out
+    def bump(self, rule: str, count: int = 1) -> None:
+        self.prunes[rule] = self.prunes.get(rule, 0) + count
 
 
 @dataclass
@@ -114,7 +97,7 @@ def _sub(planes: list[int], bits: int) -> None:
 
 
 class _PropagateEngine:
-    def __init__(self, ctx: GeometryCtx, bundle: SchemeBundle, x: Fraction):
+    def __init__(self, ctx: GeometryCtx, x: Fraction):
         p = ctx.params
         self.total = len(ctx.kspaces)
         self.full = (1 << self.total) - 1
@@ -151,6 +134,7 @@ class _PropagateEngine:
             # corresponding side has no columns at completion)
             self.t_in[i] = tin if in_range[0] else -1
             self.t_out[i] = tout if in_range[1] else -1
+        bundle = bundle_for(ctx)
         self.rel = bundle.relation_masks()
         pivots, free = bundle.incidence_rref()
         self.pivots = list(pivots)
@@ -402,39 +386,30 @@ def _solve_worker(args):
     n, k, q, x_num, x_den, ins, outs = args
     from .geometry import geometry
 
-    ctx = geometry(n, k, q)
-    return _PropagateEngine(ctx, bundle_for(ctx), Fraction(x_num, x_den)).solve(ins, outs)
+    return _PropagateEngine(geometry(n, k, q), Fraction(x_num, x_den)).solve(ins, outs)
 
 
-def search_all(
-    ctx: GeometryCtx,
-    x,
-    config: SearchConfig | None = None,
-    bundle: SchemeBundle | None = None,
-) -> SearchResult:
-    """The complete list of families with parameter x passing the battery."""
-    if config is None:
-        config = SearchConfig()
-    if config.threads < 1:
-        raise ValueError(f"need at least one thread, got {config.threads}")
+def search_all(ctx: GeometryCtx, x, threads: int = 1) -> SearchResult:
+    """The complete list of families with parameter x passing the battery,
+    searched by `threads` worker processes."""
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got {threads}")
     total = len(ctx.kspaces)
     if total > DEFAULT_SEARCH_CAP:
         raise ValueError(
             f"geometry has {total} k-spaces, exceeding the search cap "
             f"{DEFAULT_SEARCH_CAP}"
         )
-    if bundle is None:
-        bundle = bundle_for(ctx)
     x = Fraction(x)
     started = time.perf_counter()
-    engine = _PropagateEngine(ctx, bundle, x)
+    engine = _PropagateEngine(ctx, x)
     reason = engine.reason
     if reason is not None:
         fams, stats = [], SearchStats()
-    elif config.threads > 1:
+    elif threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        prefixes = engine.root_prefixes(config.threads * 2)
+        prefixes = engine.root_prefixes(threads * 2)
         p = ctx.params
         jobs = [
             (p.n, p.k, p.q, x.numerator, x.denominator, ins, outs)
@@ -443,17 +418,21 @@ def search_all(
         fams = []
         stats = SearchStats()
         # every worker is forked up front: never more than CPUs or jobs
-        workers = min(config.threads, os.cpu_count() or 1, len(prefixes))
+        workers = min(threads, os.cpu_count() or 1, len(prefixes))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sub_fams, sub_stats in pool.map(_solve_worker, jobs):
+            for sub_fams, sub in pool.map(_solve_worker, jobs):
                 fams.extend(sub_fams)
-                stats = stats.merged(sub_stats)
+                stats.nodes += sub.nodes
+                stats.forced += sub.forced
+                stats.leaves += sub.leaves
+                for rule, count in sub.prunes.items():
+                    stats.bump(rule, count)
     else:
         fams, stats = engine.solve()
     fams = sorted(set(fams))
-    battery = BatteryConfig()
+    bundle = bundle_for(ctx)
     for fam in fams:
-        if not run_battery(CLCandidate(ctx, fam), bundle, battery).passed:
+        if not run_battery(CLCandidate(ctx, fam), bundle).passed:
             raise RuntimeError(f"search returned non-member family {fam[:8]}...")
     stats.wall_seconds = time.perf_counter() - started
     return SearchResult(families=tuple(fams), stats=stats, reason=reason)
@@ -469,37 +448,20 @@ class WindowRow:
     skew_audit: object
 
 
-@dataclass
-class WindowReport:
-    rows: list[WindowRow]
-
-    @property
-    def all_empty(self) -> bool:
-        return all(r.families == 0 for r in self.rows)
-
-
-def nonexistence_window(
-    ctx: GeometryCtx,
-    lo,
-    hi,
-    config: SearchConfig | None = None,
-    bundle: SchemeBundle | None = None,
-) -> WindowReport:
+def nonexistence_window(ctx: GeometryCtx, lo, hi, threads: int = 1) -> list[WindowRow]:
     """Search every admissible parameter strictly inside (lo, hi) and report
     the outcomes together with the closed-form bound verdicts; a window
     holding no admissible parameter is refused."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError(f"empty window ({lo}, {hi}): need lo < hi")
-    if bundle is None:
-        bundle = bundle_for(ctx)
     p = ctx.params
     base = qbinom(p.n, p.k, p.q)
     rows = []
     s = int(lo * base) + 1
     while Fraction(s, base) < hi:
         x = Fraction(s, base)
-        result = search_all(ctx, x, config, bundle)
+        result = search_all(ctx, x, threads)
         bound = None
         if p.n >= 3 * p.k + 2:
             bound = within_classification_bound(p, x)
@@ -520,7 +482,7 @@ def nonexistence_window(
         s += 1
     if not rows:
         raise ValueError(f"no parameter s/{base} lies strictly inside ({lo}, {hi})")
-    return WindowReport(rows=rows)
+    return rows
 
 
 def max_disjoint_subfamily(cand: CLCandidate) -> int:

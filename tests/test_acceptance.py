@@ -20,7 +20,6 @@ from _oracles import (
 from clkset import (
     BatteryConfig,
     SchemeParams,
-    SearchConfig,
     complement,
     count_disjoint,
     eigenvalue_separated,
@@ -160,23 +159,21 @@ def test_acceptance_3_battery_equivalence():
 @_announce("4 classification-reproduction")
 def test_acceptance_4_classification():
     ctx32 = geometry(3, 1, 2)
-    b32 = bundle_for(ctx32)
-    res = search_all(ctx32, 1, SearchConfig(), b32)
+    res = search_all(ctx32, 1)
     assert len(res.families) == 30
     pencils = {point_pencil_family(ctx32, pt).ids for pt in range(15)}
     hyps = {hyperplane_family(ctx32, h).ids for h in ctx32.hyperplanes()}
     assert set(res.families) == pencils | hyps
 
     ctx42 = geometry(4, 1, 2)
-    b42 = bundle_for(ctx42)
-    res42 = search_all(ctx42, 1, SearchConfig(), b42)
+    res42 = search_all(ctx42, 1)
     assert len(res42.families) == 31
     pencils42 = {point_pencil_family(ctx42, pt).ids for pt in range(31)}
     assert set(res42.families) == pencils42
 
     for lo, hi in ((0, 1), (1, 2)):
-        report = nonexistence_window(ctx42, lo, hi, SearchConfig(), b42)
-        assert report.all_empty, (lo, hi)
+        rows = nonexistence_window(ctx42, lo, hi)
+        assert all(row.families == 0 for row in rows), (lo, hi)
 
 
 def _battery_passing_roster(ctx, bundle, wide=False):

@@ -29,6 +29,7 @@ from clkset.families import (
     check_meet_distribution,
     check_spread_intersections,
     check_switching_pairs,
+    check_switching_sets,
 )
 from clkset.geometry import mask_of
 from clkset.qformulas import hyperplane_family_parameter, parameter_range
@@ -315,6 +316,19 @@ class TestBattery:
         )
         assert set(report.results) == {"kernel", "disjointness-counts"}
         assert report.passed
+
+    def test_bundle_of_another_geometry_refused(self, pg32, pg33_bundle):
+        pencil = point_pencil_family(pg32, 0)
+        with pytest.raises(ValueError, match=r"built for PG\(3,3\) k=1, .* PG\(3,2\) k=1"):
+            run_battery(pencil, pg33_bundle)
+        assert run_battery(pencil, SchemeBundle(pg32)).passed
+
+    def test_switching_sets_skipped_above_spread_point_cap(self):
+        # the solids of PG(4,4) have 85 points, more than the 40 the spread cap allows
+        ctx = geometry(4, 1, 4)
+        result = check_switching_sets(point_pencil_family(ctx, 0), bundle_for(ctx))
+        assert result.verdict is Verdict.SKIPPED
+        assert result.note == "spread enumeration guard: a 3-space has 85 points, exceeding cap 40"
 
     def test_report_lines(self, pg32, pg32_bundle):
         report = run_battery(point_pencil_family(pg32, 0), pg32_bundle)

@@ -275,6 +275,18 @@ class TestSigmaSpreads:
         assert all(len(ctx.sigma_spread_masks(sigma)) == 56 for sigma in sigmas)
         assert len(calls) == 1
 
+    def test_guard_before_backtrack(self, monkeypatch):
+        """Every solid of PG(4,4) has 85 points, over the spread point cap:
+        refused before the backtrack starts."""
+
+        def no_backtrack(self, member_ids, target_mask):
+            raise AssertionError("backtracked above the spread point cap")
+
+        monkeypatch.setattr(GeometryCtx, "_spread_backtrack", no_backtrack)
+        ctx = geometry(4, 1, 4)
+        with pytest.raises(GeometrySizeError, match="a 3-space has 85 points, exceeding cap 40"):
+            ctx.sigma_spread_masks(ctx.subspaces_of_dim(3)[0])
+
     @pytest.mark.parametrize("corruption", ["other line", "point dropped", "triangle", "point outside"])
     def test_corrupted_kspace_mask_raises(self, corruption):
         ctx = GeometryCtx(SchemeParams(n=4, k=1, q=2))

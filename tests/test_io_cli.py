@@ -264,6 +264,69 @@ class TestDiskCache:
         assert not os.path.exists(fresh)
 
 
+# summary.txt of three searches, byte for byte: window rows with and without
+# reason= and with the skew audit, and the worker stats merged under --threads
+# with the prune keys in first-seen order
+WINDOW_PG42_1_2 = (
+    'x=16/15 size=16 families=0 reason=members need exactly 71/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=152/5, rhs=16)\n'
+    'x=17/15 size=17 families=0 reason=members need exactly 72/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=154/5, rhs=17)\n'
+    'x=6/5 size=18 families=0 reason=members need exactly 73/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=156/5, rhs=18)\n'
+    'x=19/15 size=19 families=0 reason=members need exactly 74/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=158/5, rhs=19)\n'
+    'x=4/3 size=20 families=0 skew_exclusion(holds=True, lhs=32, rhs=20)\n'
+    'x=7/5 size=21 families=0 reason=members need exactly 76/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=162/5, rhs=21)\n'
+    'x=22/15 size=22 families=0 reason=members need exactly 77/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=164/5, rhs=22)\n'
+    'x=23/15 size=23 families=0 reason=members need exactly 78/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=166/5, rhs=23)\n'
+    'x=8/5 size=24 families=0 reason=members need exactly 79/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=168/5, rhs=24)\n'
+    'x=5/3 size=25 families=0 skew_exclusion(holds=True, lhs=34, rhs=25)\n'
+    'x=26/15 size=26 families=0 reason=members need exactly 81/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=172/5, rhs=26)\n'
+    'x=9/5 size=27 families=0 reason=members need exactly 82/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=174/5, rhs=27)\n'
+    'x=28/15 size=28 families=0 reason=members need exactly 83/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=176/5, rhs=28)\n'
+    'x=29/15 size=29 families=0 reason=members need exactly 84/5 meets at relation 1: impossible'
+    ' skew_exclusion(holds=True, lhs=178/5, rhs=29)\n'
+    'total: 0 families\n'
+)
+
+WINDOW_PG32_0_3 = (
+    'x=1/7 size=1 families=0 reason=members need exactly 24/7 meets at relation 1: impossible\n'
+    'x=2/7 size=2 families=0 reason=members need exactly 27/7 meets at relation 1: impossible\n'
+    'x=3/7 size=3 families=0 reason=members need exactly 30/7 meets at relation 1: impossible\n'
+    'x=4/7 size=4 families=0 reason=members need exactly 33/7 meets at relation 1: impossible\n'
+    'x=5/7 size=5 families=0 reason=members need exactly 36/7 meets at relation 1: impossible\n'
+    'x=6/7 size=6 families=0 reason=members need exactly 39/7 meets at relation 1: impossible\n'
+    'x=1 size=7 families=30\n'
+    'x=8/7 size=8 families=0 reason=members need exactly 45/7 meets at relation 1: impossible\n'
+    'x=9/7 size=9 families=0 reason=members need exactly 48/7 meets at relation 1: impossible\n'
+    'x=10/7 size=10 families=0 reason=members need exactly 51/7 meets at relation 1: impossible\n'
+    'x=11/7 size=11 families=0 reason=members need exactly 54/7 meets at relation 1: impossible\n'
+    'x=12/7 size=12 families=0 reason=members need exactly 57/7 meets at relation 1: impossible\n'
+    'x=13/7 size=13 families=0 reason=members need exactly 60/7 meets at relation 1: impossible\n'
+    'x=2 size=14 families=120\n'
+    'x=15/7 size=15 families=0 reason=members need exactly 66/7 meets at relation 1: impossible\n'
+    'x=16/7 size=16 families=0 reason=members need exactly 69/7 meets at relation 1: impossible\n'
+    'x=17/7 size=17 families=0 reason=members need exactly 72/7 meets at relation 1: impossible\n'
+    'x=18/7 size=18 families=0 reason=members need exactly 75/7 meets at relation 1: impossible\n'
+    'x=19/7 size=19 families=0 reason=members need exactly 78/7 meets at relation 1: impossible\n'
+    'x=20/7 size=20 families=0 reason=members need exactly 81/7 meets at relation 1: impossible\n'
+    'total: 150 families\n'
+)
+
+X_PG32_2_THREADS_2 = (
+    'x=2 families=120\n'
+    "nodes=1632 prunes={'count': 382, 'conflict': 375, 'size': 185, 'linear': 574}\n"
+)
+
+
 class TestCLI:
     def test_formulas_text(self, capsys):
         assert main(["formulas", "--n", "3", "--q", "2", "--k", "1"]) == 0
@@ -472,6 +535,24 @@ class TestCLI:
         assert code == 0
         assert "0 families" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv,stdout,summary",
+        [
+            (["--n", "4", "--window", "1", "2"], "0 families\n", WINDOW_PG42_1_2),
+            (["--n", "3", "--window", "0", "3"], "150 families\n", WINDOW_PG32_0_3),
+            (["--n", "3", "--x", "2", "--threads", "2"], "120 families\n", X_PG32_2_THREADS_2),
+        ],
+    )
+    def test_search_summary_bytes(self, tmp_path, capsys, argv, stdout, summary):
+        out_dir = tmp_path / "out"
+        code = main(
+            ["search", "--q", "2", "--k", "1", *argv, "--out", str(out_dir),
+             "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == stdout
+        assert (out_dir / "summary.txt").read_text() == summary
+
     def test_search_text_stdout_is_one_line(self, tmp_path, capsys):
         args = ["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1"]
         assert main(args + ["--cache-dir", str(tmp_path / "c")]) == 0
@@ -503,7 +584,7 @@ class TestCLI:
         )
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        rows = nonexistence_window(geometry(4, 1, 2), 0, 1).rows
+        rows = nonexistence_window(geometry(4, 1, 2), 0, 1)
         assert data["window"] == ["0", "1"]
         assert data["total"] == 0
         assert [r["x"] for r in data["rows"]] == [str(r.x) for r in rows]

@@ -4,8 +4,6 @@ import pytest
 from _oracles import reference_families
 
 from clkset import (
-    SearchConfig,
-    bundle_for,
     family,
     full_family,
     geometry,
@@ -36,8 +34,8 @@ def x1_shape(ctx, fam_ids):
 
 
 class TestSearchPG32:
-    def test_x1_classification(self, pg32, pg32_bundle):
-        result = search_all(pg32, 1, SearchConfig(), pg32_bundle)
+    def test_x1_classification(self, pg32):
+        result = search_all(pg32, 1)
         assert len(result.families) == 30
         shapes = [x1_shape(pg32, fam) for fam in result.families]
         assert shapes.count("pencil") == 15
@@ -48,8 +46,8 @@ class TestSearchPG32:
         }
         assert set(result.families) == pencils | hyps
 
-    def test_x1_results_pairwise_intersecting(self, pg32, pg32_bundle):
-        result = search_all(pg32, 1, SearchConfig(), pg32_bundle)
+    def test_x1_results_pairwise_intersecting(self, pg32):
+        result = search_all(pg32, 1)
         disj = pg32.disjointness_masks()
         for fam in result.families:
             mask = 0
@@ -57,41 +55,41 @@ class TestSearchPG32:
                 mask |= 1 << c
             assert all(disj[c] & mask == 0 for c in fam)
 
-    def test_non_integral_size(self, pg32, pg32_bundle):
-        result = search_all(pg32, Fraction(1, 2), SearchConfig(), pg32_bundle)
+    def test_non_integral_size(self, pg32):
+        result = search_all(pg32, Fraction(1, 2))
         assert result.families == ()
         assert "non-integral" in result.reason
 
-    def test_full_parameter(self, pg32, pg32_bundle):
-        result = search_all(pg32, 5, SearchConfig(), pg32_bundle)
+    def test_full_parameter(self, pg32):
+        result = search_all(pg32, 5)
         assert result.families == (tuple(range(35)),)
 
-    def test_determinism(self, pg32, pg32_bundle):
-        r1 = search_all(pg32, 1, SearchConfig(), pg32_bundle)
-        r2 = search_all(pg32, 1, SearchConfig(), pg32_bundle)
+    def test_determinism(self, pg32):
+        r1 = search_all(pg32, 1)
+        r2 = search_all(pg32, 1)
         assert r1.families == r2.families
         assert r1.stats.nodes == r2.stats.nodes
         assert r1.stats.prunes == r2.stats.prunes
 
-    def test_completeness_against_reference(self, pg32, pg32_bundle):
+    def test_completeness_against_reference(self, pg32):
         # pruning-free subset enumeration restricted to families containing
         # line 0, compared with the engine's families that contain it
         ref = reference_families(pg32, 1, fix_in=(0,))
-        fast = _narrowed(search_all(pg32, 1, SearchConfig(), pg32_bundle), fix_in=(0,))
+        fast = _narrowed(search_all(pg32, 1), fix_in=(0,))
         assert ref == fast
         assert len(ref) > 0
 
-    def test_threads_preserve_results(self, pg32, pg32_bundle):
-        plain = search_all(pg32, 1, SearchConfig(), pg32_bundle)
-        threaded = search_all(pg32, 1, SearchConfig(threads=2), pg32_bundle)
+    def test_threads_preserve_results(self, pg32):
+        plain = search_all(pg32, 1)
+        threaded = search_all(pg32, 1, threads=2)
         assert plain.families == threaded.families
 
-    def test_threads_below_one_refused(self, pg32, pg32_bundle):
+    def test_threads_below_one_refused(self, pg32):
         for threads in (0, -1):
             with pytest.raises(ValueError, match="thread"):
-                search_all(pg32, 1, SearchConfig(threads=threads), pg32_bundle)
+                search_all(pg32, 1, threads=threads)
 
-    def test_pool_size_clamped(self, pg32, pg32_bundle, monkeypatch):
+    def test_pool_size_clamped(self, pg32, monkeypatch):
         """The pool never gets more workers than CPUs or root prefixes; a
         stand-in pool records its size and maps in this process."""
         import concurrent.futures
@@ -113,7 +111,7 @@ class TestSearchPG32:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        plain = search_all(pg32, 1, SearchConfig(), pg32_bundle).families
+        plain = search_all(pg32, 1).families
         # PG(3,2) has 15 pivots, and root_prefixes(2T) splits at most 8 of them
         for cpus, threads, workers in [
             (2, 5000, 2),
@@ -122,27 +120,27 @@ class TestSearchPG32:
             (10**6, 3, 3),
         ]:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert search_all(pg32, 1, SearchConfig(threads=threads), pg32_bundle).families == plain
+            assert search_all(pg32, 1, threads=threads).families == plain
             assert sizes.pop() == workers
 
-    def test_window_below_one_is_vacuous(self, pg32, pg32_bundle):
-        report = nonexistence_window(pg32, 0, 1, SearchConfig(), pg32_bundle)
-        assert report.all_empty
-        assert all(row.reason is not None for row in report.rows)
+    def test_window_below_one_is_vacuous(self, pg32):
+        rows = nonexistence_window(pg32, 0, 1)
+        assert all(row.families == 0 for row in rows)
+        assert all(row.reason is not None for row in rows)
 
-    def test_empty_window_refused(self, pg32, pg32_bundle):
+    def test_empty_window_refused(self, pg32):
         for lo, hi in ((2, 1), (1, 1), (Fraction(3, 2), Fraction(3, 2))):
             with pytest.raises(ValueError, match="empty window"):
-                nonexistence_window(pg32, lo, hi, SearchConfig(), pg32_bundle)
+                nonexistence_window(pg32, lo, hi)
 
-    def test_window_without_parameter_refused(self, pg32, pg32_bundle):
+    def test_window_without_parameter_refused(self, pg32):
         # no s/7 lies strictly inside these windows, so nothing is searched
         for lo, hi in ((1, Fraction(21, 20)), (Fraction(1, 7), Fraction(2, 7))):
             with pytest.raises(ValueError, match="no parameter s/7"):
-                nonexistence_window(pg32, lo, hi, SearchConfig(), pg32_bundle)
-        assert len(nonexistence_window(pg32, Fraction(1, 7), Fraction(3, 7)).rows) == 1
+                nonexistence_window(pg32, lo, hi)
+        assert len(nonexistence_window(pg32, Fraction(1, 7), Fraction(3, 7))) == 1
 
-    def test_battery_failure_raises(self, pg32, pg32_bundle, monkeypatch):
+    def test_battery_failure_raises(self, pg32, monkeypatch):
         import clkset.search
         from clkset.families import BatteryReport, CheckResult, Verdict
 
@@ -153,7 +151,7 @@ class TestSearchPG32:
 
         monkeypatch.setattr(clkset.search, "run_battery", failing)
         with pytest.raises(RuntimeError, match="non-member"):
-            search_all(pg32, 1, SearchConfig(), pg32_bundle)
+            search_all(pg32, 1)
 
     def test_cap_refusal(self):
         big = geometry(6, 1, 2)
@@ -163,29 +161,29 @@ class TestSearchPG32:
 
 
 class TestSearchPG42:
-    def test_x1_pencils_only(self, pg42, pg42_bundle):
-        result = search_all(pg42, 1, SearchConfig(), pg42_bundle)
+    def test_x1_pencils_only(self, pg42):
+        result = search_all(pg42, 1)
         assert len(result.families) == 31
         assert all(x1_shape(pg42, fam) == "pencil" for fam in result.families)
 
-    def test_window_between_one_and_two_empty(self, pg42, pg42_bundle):
-        report = nonexistence_window(pg42, 1, 2, SearchConfig(), pg42_bundle)
-        assert report.all_empty
-        assert len(report.rows) == 14
-        for row in report.rows:
+    def test_window_between_one_and_two_empty(self, pg42):
+        rows = nonexistence_window(pg42, 1, 2)
+        assert all(row.families == 0 for row in rows)
+        assert len(rows) == 14
+        for row in rows:
             assert row.skew_audit is not None
 
-    def test_window_below_one_empty(self, pg42, pg42_bundle):
-        report = nonexistence_window(pg42, 0, 1, SearchConfig(), pg42_bundle)
-        assert report.all_empty
+    def test_window_below_one_empty(self, pg42):
+        rows = nonexistence_window(pg42, 0, 1)
+        assert all(row.families == 0 for row in rows)
 
-    def test_full_space_parameter_non_integral(self, pg42, pg42_bundle):
+    def test_full_space_parameter_non_integral(self, pg42):
         # the whole line set has x = 31/3 here; it is the unique family
-        result = search_all(pg42, Fraction(31, 3), SearchConfig(), pg42_bundle)
+        result = search_all(pg42, Fraction(31, 3))
         assert result.families == (tuple(range(155)),)
 
-    def test_zero_parameter_gives_empty_family(self, pg42, pg42_bundle):
-        result = search_all(pg42, 0, SearchConfig(), pg42_bundle)
+    def test_zero_parameter_gives_empty_family(self, pg42):
+        result = search_all(pg42, 0)
         assert result.families == ((),)
 
 
@@ -230,7 +228,7 @@ class TestMaxDisjoint:
 def _engine(ctx, x):
     from clkset.search import _PropagateEngine
 
-    return _PropagateEngine(ctx, bundle_for(ctx), Fraction(x))
+    return _PropagateEngine(ctx, Fraction(x))
 
 
 def _narrowed(result, fix_in=(), fix_out=()):
@@ -347,14 +345,14 @@ class TestBitSlicedEngine:
         found = 0
         for size in range(14):
             x = Fraction(size, 4)
-            fast = search_all(ctx, x, SearchConfig())
+            fast = search_all(ctx, x)
             assert fast.families == reference_families(ctx, x)
             found += len(fast.families)
         assert found == 2**13
 
-    def test_narrowed_pg32_x2_against_reference(self, pg32, pg32_bundle):
+    def test_narrowed_pg32_x2_against_reference(self, pg32):
         narrow = dict(fix_in=(0, 1, 2), fix_out=tuple(range(21, 35)))
-        fast = _narrowed(search_all(pg32, 2, SearchConfig(), pg32_bundle), **narrow)
+        fast = _narrowed(search_all(pg32, 2), **narrow)
         assert fast == reference_families(pg32, 2, **narrow)
         assert len(fast) == 2
 
@@ -373,7 +371,7 @@ class TestBitSlicedEngine:
         engine (lists of neighbour ids and a FIFO queue)."""
         import hashlib
 
-        result = search_all(geometry(n, k, q), x, SearchConfig())
+        result = search_all(geometry(n, k, q), x)
         assert len(result.families) == count
         assert hashlib.sha256(repr(result.families).encode()).hexdigest() == digest
 
