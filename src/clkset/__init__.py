@@ -42,13 +42,11 @@ from .qformulas import (
 )
 from .scheme import (
     SchemeBundle,
-    build_relation,
     bundle_for,
     disjointness_vector_identity,
     full_spectrum_check,
     incidence_rows,
     rowspace_equals_v0_v1,
-    v1_eigen_check,
 )
 from .search import (
     SearchResult,

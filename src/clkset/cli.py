@@ -7,6 +7,7 @@ Exit codes: 0 success / battery pass, 1 battery fail, 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -230,6 +231,20 @@ def _window_line(row: dict) -> str:
 
 
 def cmd_search(args) -> int:
+    made = []  # the directories --out creates, deepest first
+    head = args.out and os.path.abspath(args.out)
+    while head and not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    try:
+        return _search(args)
+    finally:  # a run that succeeds writes summary.txt: only a refused one leaves them empty
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+
+
+def _search(args) -> int:
     p = _params(args)
     ctx = geometry(p.n, p.k, p.q)
     if args.out:

@@ -162,7 +162,7 @@ class GeometryCtx:
         }
         if len(self.kspace_id) != len(self.kspaces):
             raise RuntimeError(f"duplicate {params.k}-spaces in the enumeration")
-        self._coeff_points = _canonical_points(params.k, self.field)
+        self._coeff_points: dict[int, list[tuple[int, ...]]] = {}  # by span dimension
         self.kspace_masks: list[int] = []
         pencil_masks = [0] * len(self.points)
         for idx, sub in enumerate(self.kspaces):
@@ -203,11 +203,10 @@ class GeometryCtx:
         return self.subspaces_of_dim(self.params.n - 1)
 
     def _span_point_ids(self, basis) -> tuple[int, ...]:
-        coeffs = (
-            self._coeff_points
-            if len(basis) == self.params.k + 1
-            else _canonical_points(len(basis) - 1, self.field)
-        )
+        dim = len(basis) - 1
+        coeffs = self._coeff_points.get(dim)
+        if coeffs is None:
+            coeffs = self._coeff_points[dim] = _canonical_points(dim, self.field)
         field = self.field
         ids = []
         for combo in coeffs:

@@ -166,26 +166,6 @@ def valence(i: int, params: SchemeParams) -> int:
     return qbinom(n - k, i, q) * qbinom(k + 1, i, q) * q ** (i * i)
 
 
-def q_valuation(value: int, q: int) -> float:
-    """Exponent of q in value; +inf for value == 0."""
-    if value == 0:
-        return math.inf
-    v = 0
-    value = abs(value)
-    while value % q == 0:
-        value //= q
-        v += 1
-    return v
-
-
-def phi_profile(i: int, params: SchemeParams) -> tuple[float, ...]:
-    """q-adic valuations of P_{1i}, ..., P_{k+1,i} (inf for zero entries)."""
-    return tuple(
-        q_valuation(eigenvalue_p(j, i, params), params.q)
-        for j in range(1, params.k + 2)
-    )
-
-
 def eigenvalue_separated(i: int, params: SchemeParams) -> bool:
     """True iff P_{1i} differs from P_{ji} for every j in {2, ..., k+1}.
 

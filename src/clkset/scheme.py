@@ -1,11 +1,12 @@
 """Exact linear algebra over the k-space association scheme of PG(n,q).
 
 The incidence matrix A has one row per point and one column per k-space; the
-relation matrices A_i are the 0/1 matrices of "meet in dimension k-i".  Both
-are integer rows, and every rank, kernel, eigenspace and row-space question is
-answered from the certified RREF of linalg.rref_int; nothing here uses
-fractions.  SchemeBundle also keeps the geometry's one spread list, as k-space
-bitmasks, which the geometry's point count chooses: every spread up to
+relation matrices A_i are the 0/1 matrices of "meet in dimension k-i", kept
+as bitmasks.  Rank and kernel questions are answered from the certified RREF
+of linalg.rref_int; the spectral certificates are integer identities checked
+on the masks, with no elimination; nothing here uses fractions.
+SchemeBundle also keeps the geometry's one spread list, as k-space bitmasks,
+which the geometry's point count chooses: every spread up to
 DEFAULT_SPREAD_POINT_CAP points, rebuilt in each process, the field-reduction
 sample above.  Only the sample is cached, and a cached sample is used only
 after it is checked against the geometry.
@@ -14,6 +15,8 @@ after it is checked against the geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from math import lcm
 
 from .geometry import DEFAULT_SPREAD_POINT_CAP, GeometryCtx, ids_of, mask_of
 from .linalg import FreeColumn, kernel_vectors, rref_int
@@ -36,15 +39,6 @@ def incidence_rows(ctx: GeometryCtx) -> list[list[int]]:
     return [
         [(mask >> pid) & 1 for mask in ctx.kspace_masks] for pid in range(len(ctx.points))
     ]
-
-
-def build_relation(i: int, ctx: GeometryCtx) -> list[list[int]]:
-    """Rows of the relation matrix A_i (symmetric 0/1; A_0 = I and
-    sum_i A_i = J, both checked when the underlying masks are built)."""
-    if not 0 <= i <= ctx.params.k + 1:
-        raise ValueError(f"relation index {i} out of range")
-    total = len(ctx.kspaces)
-    return [[(m >> c) & 1 for c in range(total)] for m in ctx.relation_masks()[i]]
 
 
 def disjointness_vector_identity(pi: int, ctx: GeometryCtx) -> bool:
@@ -73,33 +67,21 @@ def q_disjoint_coefficient(params) -> int:
     )
 
 
-def _is_eigenvector(v, row_ids, lam) -> bool:
-    """M v == lam v, for the 0/1 matrix M whose row r has its ones at row_ids[r]."""
-    return all(sum(v[c] for c in ids) == lam * vr for ids, vr in zip(row_ids, v))
-
-
-def v1_eigen_check(v, ctx: GeometryCtx) -> bool:
-    """True iff K v = P_{1,k+1} v exactly (K the disjointness matrix).
-
-    Together with the eigenvalue-separation property this certifies that v
-    lies in the first nontrivial common eigenspace.  The zero vector passes
-    degenerately; callers that care should flag it.
-    """
-    p = ctx.params
-    lam = eigenvalue_p(1, p.k + 1, p)
-    return _is_eigenvector(v, [ids_of(m) for m in ctx.disjointness_masks()], lam)
-
-
-def _eigenspace(rows, lam: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of ker(M - lam I), M given by its integer
-    rows: one vector per free column of the certified RREF."""
-    n = len(rows)
-    shifted = [[v - lam if r == c else v for c, v in enumerate(row)] for r, row in enumerate(rows)]
-    return kernel_vectors(rref_int(shifted, n)[1], n)
-
-
-def _rank(rows, ncols: int) -> int:
-    return len(rref_int(rows, ncols)[0])
+def _products_match(rel, products) -> bool:
+    """Each (left, right, want) in products is an identity of 0/1 matrices
+    L R^T = sum_j want[j] A_j, checked entry by entry: |left[x] & right[e]|
+    must be want[j] for e in rel[j][x]."""
+    total = len(rel[0])
+    for x in range(total):
+        where = bytearray(total)
+        for j in range(1, len(rel)):
+            for e in ids_of(rel[j][x]):
+                where[e] = j
+        for left, right, want in products:
+            got = list(map(int.bit_count, map(left[x].__and__, right)))
+            if got != list(map(want.__getitem__, where)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -111,28 +93,23 @@ class SpectralSplit:
 
 
 def rowspace_equals_v0_v1(ctx: GeometryCtx) -> SpectralSplit:
-    """Verify im(A^T) = V0 + V1: compute the disjointness-matrix eigenspaces
-    for the first two eigenvalues, compare dimensions with rank(A), and check
-    that appending the rows of A does not raise the rank of the joint basis.
+    """Verify im(A^T) = V0 + V1 without elimination.  Two k-spaces in
+    relation i share [k-i+1] points, so A^T A = sum_i [k-i+1] A_i, checked
+    on the rows of incidence_rows; on V_j, with the eigenmatrix certified by
+    full_spectrum_check, it acts as mu_j = sum_i [k-i+1] P_{j,i}.  Its image,
+    that of A^T, is V0 + V1 exactly when mu_0, mu_1 != 0 = mu_2 = ... .
     Raises ValueError when n < 2k+1: no two k-spaces are disjoint, K = 0 and
     the theorem does not apply."""
     p = ctx.params
     _require_span_scale(p)
-    total = len(ctx.kspaces)
-    a = incidence_rows(ctx)
-    kneser = build_relation(p.k + 1, ctx)
-    v0 = _eigenspace(kneser, eigenvalue_p(0, p.k + 1, p))
-    v1 = _eigenspace(kneser, eigenvalue_p(1, p.k + 1, p))
-    joint = v0 + v1
-    rank_a = _rank(a, total)
-    rank_joint = _rank(joint, total)
-    ok = (
-        len(v0) == 1
-        and len(joint) == rank_a
-        and len(joint) == rank_joint
-        and _rank(joint + a, total) == rank_joint
-    )
-    return SpectralSplit(rank=rank_a, dim_v0=len(v0), dim_v1=len(v1), ok=ok)
+    spectrum = full_spectrum_check(ctx)
+    cols = [mask_of(compress(count(), col)) for col in zip(*incidence_rows(ctx))]
+    shared = [qbinom(p.k + 1 - i, 1, p.q) for i in range(p.k + 2)]
+    mu = [sum(s * eigenvalue_p(j, i, p) for i, s in enumerate(shared)) for j in range(p.k + 2)]
+    ok = spectrum.ok and all(mu[:2]) and not any(mu[2:])
+    ok = ok and _products_match(ctx.relation_masks(), [(cols, cols, shared)])
+    dim_v0, dim_v1 = spectrum.dims[:2]
+    return SpectralSplit(rank=dim_v0 + dim_v1, dim_v0=dim_v0, dim_v1=dim_v1, ok=ok)
 
 
 @dataclass(frozen=True)
@@ -144,30 +121,56 @@ class SpectrumCertificate:
 def full_spectrum_check(ctx: GeometryCtx) -> SpectrumCertificate:
     """Exact verification of the whole eigenmatrix against the built scheme.
 
-    Carves the common eigenspaces out of the distance-1 matrix, then checks
-    every relation matrix on every primitive integer basis vector against
-    the closed-form eigenvalues.  Dimensions must sum to the number of
-    k-spaces and the first eigenspace must be the all-one line.
+    The Grassmann graph on k-spaces has diameter d = min(k+1, n-k) and
+    intersection numbers b_i = q^(2i+1)[k+1-i][n-k-i], c_i = [i]^2 and
+    a_i = b_0 - b_i - c_i, where [m] = qbinom(m, 1, q) (Brouwer-Cohen-Neumaier
+    9.3).  The relation masks must satisfy A_1 A_i = b_{i-1} A_{i-1} +
+    a_i A_i + c_{i+1} A_{i+1} for i = 1..d (A_1 A_0 = A_1 as A_0 = I) and be
+    empty beyond d: the k-spaces then form a distance-regular graph whose d+1
+    eigenvalue sequences each satisfy the same recurrence (Delsarte 1973).
+    So each row j <= d of eigenvalue_p must satisfy it with P_{j,0} = 1, be
+    zero beyond d and have its own P_{j,1}.  Dimensions come from Biggs'
+    formula m_j = N / sum_i P_{j,i}^2 / v_i, with the valences v_i read off
+    the masks, over L = lcm(v_i) with exact division, and m_j = 0 for j > d;
+    they must sum to N, and V0 must be the all-one line.
     """
     p = ctx.params
-    a1 = build_relation(1, ctx)
-    rel_ids = [[ids_of(m) for m in masks] for masks in ctx.relation_masks()]
-    dims = []
-    ok = True
-    for j in range(p.k + 2):
-        basis = _eigenspace(a1, eigenvalue_p(j, 1, p))
-        dims.append(len(basis))
-        if j == 0 and len(basis) != 1:
-            ok = False
-        for vec in basis:
-            if not all(
-                _is_eigenvector(vec, rel_ids[i], eigenvalue_p(j, i, p))
-                for i in range(p.k + 2)
-            ):
-                ok = False
-    if sum(dims) != len(ctx.kspaces):
-        ok = False
-    return SpectrumCertificate(dims=tuple(dims), ok=ok)
+    n, k, q = p.n, p.k, p.q
+    total = len(ctx.kspaces)
+    rel = ctx.relation_masks()
+    d = min(k + 1, n - k)
+    b = [q ** (2 * i + 1) * qbinom(k + 1 - i, 1, q) * qbinom(n - k - i, 1, q) for i in range(d + 1)]
+    c = [qbinom(i, 1, q) ** 2 for i in range(d + 1)]
+    wants = []  # wants[i-1][j]: the coefficient of A_j in A_1 A_i
+    for i in range(1, d + 1):
+        want = [0] * (k + 2)
+        want[i - 1], want[i] = b[i - 1], b[0] - b[i] - c[i]
+        if i < d:
+            want[i + 1] = c[i + 1]
+        wants.append(want)
+    rows = [[eigenvalue_p(j, i, p) for i in range(k + 2)] for j in range(d + 1)]
+    valences = [masks[0].bit_count() for masks in rel[: d + 1]]
+    scale = lcm(*valences)
+    biggs = [
+        divmod(total * scale, sum(e * e * (scale // v) for e, v in zip(row, valences)))
+        for row in rows
+    ]
+    dims = tuple(m for m, _ in biggs) + (0,) * (k + 1 - d)
+    ok = (
+        all(row[0] == 1 and not any(row[d + 1 :]) for row in rows)
+        and all(
+            row[1] * row[i] == sum(w * e for w, e in zip(want, row))
+            for row in rows
+            for i, want in enumerate(wants, 1)
+        )
+        and len({row[1] for row in rows}) == d + 1
+        and not any(rem for _, rem in biggs)
+        and dims[0] == 1
+        and sum(dims) == total
+        and not any(any(masks) for masks in rel[d + 1 :])
+        and _products_match(rel, [(rel[1], rel[i], want) for i, want in enumerate(wants, 1)])
+    )
+    return SpectrumCertificate(dims=dims, ok=ok)
 
 
 class SchemeBundle:

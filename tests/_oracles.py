@@ -10,8 +10,20 @@ from math import gcd, lcm
 from clkset import GeometryCtx
 from clkset.families import Verdict
 from clkset.geometry import ids_of, mask_of
-from clkset.qformulas import eigenvalue_p, meet_count_target, qbinom, valence
-from clkset.scheme import q_disjoint_coefficient, v1_eigen_check
+from clkset.linalg import kernel_vectors, rref_int
+from clkset.qformulas import (
+    _require_span_scale,
+    eigenvalue_p,
+    meet_count_target,
+    qbinom,
+    valence,
+)
+from clkset.scheme import (
+    SpectralSplit,
+    SpectrumCertificate,
+    incidence_rows,
+    q_disjoint_coefficient,
+)
 
 
 def count_subspaces_bruteforce(a: int, b: int, q: int) -> int:
@@ -331,6 +343,91 @@ def free_columns_from_rref(rows, pivots, ncols: int):
         )
         out.append((f, scale, supp))
     return out
+
+
+# -- the former spectral certificates, by elimination --------------------------
+# References for clkset.scheme.full_spectrum_check and rowspace_equals_v0_v1.
+
+
+def relation_rows(i: int, ctx: GeometryCtx) -> list[list[int]]:
+    """Dense rows of the relation matrix A_i."""
+    if not 0 <= i <= ctx.params.k + 1:
+        raise ValueError(f"relation index {i} out of range")
+    total = len(ctx.kspaces)
+    return [[(m >> c) & 1 for c in range(total)] for m in ctx.relation_masks()[i]]
+
+
+def is_eigenvector(v, row_ids, lam) -> bool:
+    """M v == lam v, for the 0/1 matrix M whose row r has its ones at row_ids[r]."""
+    return all(sum(v[c] for c in ids) == lam * vr for ids, vr in zip(row_ids, v))
+
+
+def v1_eigen_check(v, ctx: GeometryCtx) -> bool:
+    """True iff K v = P_{1,k+1} v exactly (K the disjointness matrix); the
+    zero vector passes degenerately."""
+    p = ctx.params
+    lam = eigenvalue_p(1, p.k + 1, p)
+    return is_eigenvector(v, [ids_of(m) for m in ctx.disjointness_masks()], lam)
+
+
+def eigenspace_rref(rows, lam: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of ker(M - lam I), M given by its integer
+    rows: one vector per free column of the certified RREF."""
+    n = len(rows)
+    shifted = [[v - lam if r == c else v for c, v in enumerate(row)] for r, row in enumerate(rows)]
+    return kernel_vectors(rref_int(shifted, n)[1], n)
+
+
+def _rank(rows, ncols: int) -> int:
+    return len(rref_int(rows, ncols)[0])
+
+
+def rowspace_equals_v0_v1_rref(ctx: GeometryCtx) -> SpectralSplit:
+    """im(A^T) = V0 + V1 by elimination: the disjointness-matrix eigenspaces
+    for the first two eigenvalues, compared in dimension with rank(A), and
+    the rows of A must not raise the rank of their joint basis."""
+    p = ctx.params
+    _require_span_scale(p)
+    total = len(ctx.kspaces)
+    a = incidence_rows(ctx)
+    kneser = relation_rows(p.k + 1, ctx)
+    v0 = eigenspace_rref(kneser, eigenvalue_p(0, p.k + 1, p))
+    v1 = eigenspace_rref(kneser, eigenvalue_p(1, p.k + 1, p))
+    joint = v0 + v1
+    rank_a = _rank(a, total)
+    rank_joint = _rank(joint, total)
+    ok = (
+        len(v0) == 1
+        and len(joint) == rank_a
+        and len(joint) == rank_joint
+        and _rank(joint + a, total) == rank_joint
+    )
+    return SpectralSplit(rank=rank_a, dim_v0=len(v0), dim_v1=len(v1), ok=ok)
+
+
+def full_spectrum_check_rref(ctx: GeometryCtx) -> SpectrumCertificate:
+    """The eigenspaces of A_1 by elimination, one per eigenvalue P_{j,1};
+    every relation matrix must act on every basis vector by P_{j,i}, the
+    dimensions must sum to the number of k-spaces and V0 must be a line."""
+    p = ctx.params
+    a1 = relation_rows(1, ctx)
+    rel_ids = [[ids_of(m) for m in masks] for masks in ctx.relation_masks()]
+    dims = []
+    ok = True
+    for j in range(p.k + 2):
+        basis = eigenspace_rref(a1, eigenvalue_p(j, 1, p))
+        dims.append(len(basis))
+        if j == 0 and len(basis) != 1:
+            ok = False
+        for vec in basis:
+            if not all(
+                is_eigenvector(vec, rel_ids[i], eigenvalue_p(j, i, p))
+                for i in range(p.k + 2)
+            ):
+                ok = False
+    if sum(dims) != len(ctx.kspaces):
+        ok = False
+    return SpectrumCertificate(dims=tuple(dims), ok=ok)
 
 
 # -- the battery's former linear, counting and spectral checks ----------------

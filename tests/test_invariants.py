@@ -1,5 +1,7 @@
-"""Invariants in the package raise instead of asserting, so they still hold
-under `python -O`, which strips every `assert` statement."""
+"""Source invariants of the package.  Invariants raise instead of asserting,
+so they still hold under `python -O`, which strips every `assert`
+statement; no Fraction arithmetic enters the integer modules; no float
+touches a decision."""
 
 import ast
 from pathlib import Path
@@ -20,8 +22,9 @@ def test_no_assert_statements_in_package():
 
 
 def test_linalg_and_scheme_do_not_import_fractions():
-    # rank, kernel, eigenspace and row-space answers come from integer rows
-    # and the certified RREF; Fraction arithmetic stays in the test oracles
+    # rank and kernel answers come from the certified integer RREF, spectral
+    # answers from integer identities; Fraction arithmetic stays in the test
+    # oracles
     found = []
     for name in ("linalg.py", "scheme.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
@@ -30,4 +33,43 @@ def test_linalg_and_scheme_do_not_import_fractions():
                 found += [f"{name}:{node.lineno}" for a in node.names if a.name.split(".")[0] == "fractions"]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
                 found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+# the two timing fields, which record wall time and decide nothing
+FLOAT_DEFAULTS = {("CheckResult", "seconds"), ("SearchStats", "wall_seconds")}
+
+
+def test_no_float_in_package():
+    # no math.inf, float(...) call or float literal, apart from FLOAT_DEFAULTS
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(stmt.value)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and (cls.name, stmt.target.id) in FLOAT_DEFAULTS
+        }
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (
+                (isinstance(node, ast.Constant) and isinstance(node.value, float))
+                or (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "inf"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "math"
+                )
+                or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"
+                )
+            ):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -636,6 +636,20 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--window", "1", "1"], ["--window", "1", "16/15"], ["--x", "1", "--threads", "0"]],
+    )
+    def test_refused_search_leaves_no_out_dir(self, tmp_path, capsys, argv):
+        out_dir = tmp_path / "new" / "results"
+        code = main(
+            ["search", "--n", "4", "--q", "2", "--k", "1", *argv, "--out", str(out_dir),
+             "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "new").exists()
+
     def test_search_write_failure_exit_code(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         (out_dir / "family_0000.clkset").mkdir(parents=True)  # where a file goes

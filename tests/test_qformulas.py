@@ -37,7 +37,6 @@ from clkset.qformulas import (
     factor_prime_power,
     is_prime_power,
     meet_count_target,
-    phi_profile,
 )
 
 
@@ -178,6 +177,25 @@ class TestEigenvalues:
             eigenvalue_p(3, 1, p)
         with pytest.raises(ValueError):
             eigenvalue_p(1, -1, p)
+
+
+def q_valuation(value: int, q: int) -> float:
+    """Exponent of q in value; +inf for value == 0."""
+    if value == 0:
+        return math.inf
+    v = 0
+    value = abs(value)
+    while value % q == 0:
+        value //= q
+        v += 1
+    return v
+
+
+def phi_profile(i: int, params: SchemeParams) -> tuple[float, ...]:
+    """q-adic valuations of P_{1i}, ..., P_{k+1,i} (inf for zero entries)."""
+    return tuple(
+        q_valuation(eigenvalue_p(j, i, params), params.q) for j in range(1, params.k + 2)
+    )
 
 
 class TestSeparation:

@@ -6,24 +6,28 @@ import pytest
 from clkset import (
     GeometryCtx,
     SchemeParams,
-    build_relation,
     bundle_for,
     eigenvalue_p,
     geometry,
     point_pencil_family,
     qbinom,
     rowspace_equals_v0_v1,
-    v1_eigen_check,
     valence,
 )
 from _oracles import (
+    eigenspace_rref,
     free_columns_from_rref,
+    full_spectrum_check_rref,
     kernel_basis_fraction,
+    relation_rows,
     residual_fraction,
+    rowspace_equals_v0_v1_rref,
     rref_fraction,
     scale_to_int,
+    v1_eigen_check,
 )
 from clkset import SchemeBundle, scheme
+from clkset.geometry import ids_of
 from clkset.io import DiskCache
 from clkset.linalg import (
     CertificateError,
@@ -32,7 +36,8 @@ from clkset.linalg import (
     rref_int,
 )
 from clkset.scheme import (
-    _eigenspace,
+    SpectralSplit,
+    SpectrumCertificate,
     disjointness_vector_identity,
     full_spectrum_check,
     incidence_rows,
@@ -69,12 +74,12 @@ class TestIncidence:
 
 class TestRelations:
     def test_a0_identity(self, pg32):
-        assert build_relation(0, pg32) == [[int(r == c) for c in range(35)] for r in range(35)]
+        assert relation_rows(0, pg32) == [[int(r == c) for c in range(35)] for r in range(35)]
 
     def test_sum_is_all_ones(self, pg32):
         total = [[0] * 35 for _ in range(35)]
         for i in range(3):
-            ai = build_relation(i, pg32)
+            ai = relation_rows(i, pg32)
             for r in range(35):
                 for c in range(35):
                     total[r][c] += ai[r][c]
@@ -84,7 +89,7 @@ class TestRelations:
         for ctx in (pg32, pg33):
             p = ctx.params
             for i in range(p.k + 2):
-                ai = build_relation(i, ctx)
+                ai = relation_rows(i, ctx)
                 expected = valence(i, p)
                 assert all(sum(row) == expected for row in ai)
                 assert expected == eigenvalue_p(0, i, p)
@@ -92,12 +97,12 @@ class TestRelations:
     def test_kneser_row_sum_matches_disjoint_count(self, pg32):
         from clkset import count_disjoint
 
-        kneser = build_relation(2, pg32)
+        kneser = relation_rows(2, pg32)
         assert all(sum(row) == count_disjoint(3, 2, 1, 1) for row in kneser)
 
     def test_relations_commute(self, pg32):
-        a1 = build_relation(1, pg32)
-        a2 = build_relation(2, pg32)
+        a1 = relation_rows(1, pg32)
+        a2 = relation_rows(2, pg32)
 
         def matmul(x, y):
             return [matvec(x, col) for col in zip(*y)]  # columns of x @ y
@@ -260,7 +265,7 @@ class TestEigenVerification:
         assert v1_eigen_check([Fraction(0)] * 35, pg32)
 
     def test_explicit_kneser_matrix_agrees(self, pg32):
-        kneser = build_relation(2, pg32)
+        kneser = relation_rows(2, pg32)
         lam = eigenvalue_p(1, 2, pg32.params)
         rng = random.Random(8)
         pen = point_pencil_family(pg32, 5)
@@ -305,8 +310,8 @@ class TestSpectralSplit:
 class TestEigenspaceDimsIndependent:
     def test_pg32_dims_same_from_either_matrix(self, pg32):
         p = pg32.params
-        a1 = build_relation(1, pg32)
-        kneser = build_relation(2, pg32)
+        a1 = relation_rows(1, pg32)
+        kneser = relation_rows(2, pg32)
         for j in range(3):
             d1 = 35 - len(rref_int(shifted(a1, eigenvalue_p(j, 1, p)), 35)[0])
             d2 = 35 - len(rref_int(shifted(kneser, eigenvalue_p(j, 2, p)), 35)[0])
@@ -317,16 +322,17 @@ class TestEigenspaceDimsIndependent:
     "n,k,q,dims", [(3, 1, 2, (1, 14, 20)), (3, 1, 3, (1, 39, 90)), (4, 1, 2, (1, 30, 124))]
 )
 def test_eigenspace_bases_match_fraction_oracle(n, k, q, dims):
-    # the eigenspaces of both spectral certificates against Fraction elimination
+    # the eigenspaces of the elimination oracle (rref_int, kernel_vectors)
+    # against Fraction elimination
     ctx = geometry(n, k, q)
     p = ctx.params
     total = len(ctx.kspaces)
-    a1 = build_relation(1, ctx)
+    a1 = relation_rows(1, ctx)
     for j in range(k + 2):
         lam = eigenvalue_p(j, 1, p)
         rows, pivots = rref_fraction(shifted(a1, lam))
         expected = [scale_to_int(v) for v in kernel_basis_fraction(rows, pivots, total)]
-        assert _eigenspace(a1, lam) == expected
+        assert eigenspace_rref(a1, lam) == expected
         assert len(expected) == dims[j]
 
 
@@ -341,3 +347,62 @@ def test_full_spectrum_small():
 def test_full_spectrum_pg42_planes(pg42_planes):
     cert = full_spectrum_check(pg42_planes)
     assert (cert.dims, cert.ok) == ((1, 30, 124, 0), True)
+
+
+@pytest.mark.parametrize("n,k,q", [(2, 1, 2), (3, 1, 2), (3, 1, 3), (4, 1, 2), (4, 2, 2)])
+def test_certificates_match_elimination_oracle(n, k, q):
+    ctx = geometry(n, k, q)
+    assert full_spectrum_check(ctx) == full_spectrum_check_rref(ctx)
+    if n < 2 * k + 1:
+        for route in (rowspace_equals_v0_v1, rowspace_equals_v0_v1_rref):
+            with pytest.raises(ValueError, match="n >= 2k\\+1"):
+                route(ctx)
+    else:
+        assert rowspace_equals_v0_v1(ctx) == rowspace_equals_v0_v1_rref(ctx)
+
+
+@pytest.mark.parametrize(
+    "n,k,q,dims",
+    [
+        (3, 1, 4, (1, 84, 272)),
+        (3, 1, 5, (1, 155, 650)),
+        (4, 1, 3, (1, 120, 1089)),
+        (5, 1, 2, (1, 62, 588)),
+        (5, 2, 2, (1, 62, 588, 744)),
+    ],
+)
+def test_spectrum_dims_closed_form(n, k, q, dims):
+    # m_j = [n+1 choose j]_q - [n+1 choose j-1]_q for j <= min(k+1, n-k), else 0
+    closed = tuple(
+        qbinom(n + 1, j, q) - (qbinom(n + 1, j - 1, q) if j else 0)
+        if j <= min(k + 1, n - k)
+        else 0
+        for j in range(k + 2)
+    )
+    assert closed == dims
+    assert full_spectrum_check(geometry(n, k, q)) == SpectrumCertificate(dims, True)
+
+
+def test_split_pg52_lines(pg52):
+    assert rowspace_equals_v0_v1(pg52) == SpectralSplit(63, 1, 62, True)
+
+
+def test_moved_relation_pair_fails():
+    ctx = GeometryCtx(SchemeParams(n=3, k=1, q=2))  # not the shared geometry()
+    rel = ctx.relation_masks()
+    x, e = 0, ids_of(rel[1][0])[0]
+    for a, b in ((x, e), (e, x)):  # the pair now reads "disjoint"
+        rel[1][a] ^= 1 << b
+        rel[2][a] |= 1 << b
+    assert not full_spectrum_check(ctx).ok
+    assert not rowspace_equals_v0_v1(ctx).ok
+    assert full_spectrum_check(geometry(3, 1, 2)).ok
+
+
+def test_wrong_eigenvalue_fails(pg32, monkeypatch):
+    # P_{1,2} one too large: row 1 breaks the three-term recurrence
+    def off_by_one(j, i, params):
+        return eigenvalue_p(j, i, params) + ((j, i) == (1, 2))
+
+    monkeypatch.setattr(scheme, "eigenvalue_p", off_by_one)
+    assert not full_spectrum_check(pg32).ok
