@@ -10,11 +10,17 @@ verdicts agree; a disagreement is a defect in this package, never a property
 of the input, and is raised loudly.
 
 The linear checks share one integer scan of the incidence RREF's free columns
-(`linalg.first_residual`), the counting and spectral ones one popcount tally
-against integer member and non-member targets (`_first_tally_miss`).  The
-spread checks count |L meet S| by popcounts over the k-space bitmasks of
-`GeometryCtx.sigma_spread_masks` and `SchemeBundle.spread_masks()`, which
-holds every spread (full passes) or above 40 points a sample (sampled passes).
+(`linalg.first_residual`).  The counting and spectral ones, and the spread
+checks when n = 2k+1, count with the bit-sliced counter the search engine
+keeps its meet counts in (`geometry.tally`): the family's relation rows, or
+its rows of `SchemeBundle.spread_through()`, are summed once, and each target
+is compared with every k-space's or spread's count in one scan of the planes
+(`geometry.equal_mask`).  A family of more than half the k-spaces is counted
+through its complement, as every column of those rows has one size.
+`SchemeBundle.spread_masks()` holds every spread (full passes) or above 40
+points a sample (sampled passes).  Inside the (2k+1)-spaces of a larger
+geometry, the spread meets of `GeometryCtx.sigma_spread_masks` are
+popcounts, one list per subspace.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import GeometryCtx, GeometrySizeError, Subspace, ids_of, mask_of
+from .geometry import GeometryCtx, GeometrySizeError, Subspace, equal_mask, ids_of, mask_of, tally
 from .linalg import first_residual
 from .qformulas import (
     eigenvalue_p,
@@ -251,6 +257,34 @@ def check_kernel_orthogonality(cand: CLCandidate, bundle: SchemeBundle) -> Check
     return CheckResult(Verdict.FAIL, witness=("kernel-vector", miss[0]))
 
 
+def _count_at(planes: list[int], e: int) -> int:
+    """The count a bit-sliced counter holds at position e."""
+    return sum((plane >> e & 1) << b for b, plane in enumerate(planes))
+
+
+def _member_tally(rows, cand: CLCandidate, full: int, column_sizes) -> list[int]:
+    """tally(rows, cand.mask): at each position e of full, the number of
+    members c with bit e in rows[c].  column_sizes gives, per position, the
+    number of all c with bit e in rows[c]; when they are one value v, a
+    family of more than half the k-spaces is counted through its complement,
+    as v less the non-members' count by a bit-sliced subtraction, so that no
+    tally adds more than half the rows."""
+    if 2 * len(cand) <= len(rows):
+        return tally(rows, cand.mask)
+    sizes = set(column_sizes)
+    if len(sizes) != 1:
+        return tally(rows, cand.mask)
+    v = sizes.pop()
+    rest = tally(rows, cand.ctx.full_kspace_mask & ~cand.mask)
+    planes, borrow = [], 0
+    for b in range(max(1, v.bit_length())):
+        x = rest[b] if b < len(rest) else 0
+        a = full if v >> b & 1 else 0
+        planes.append(a ^ x ^ borrow)
+        borrow = (~a & (x | borrow) | x & borrow) & full
+    return planes
+
+
 def _first_tally_miss(
     cand: CLCandidate, rows, targets_in, targets_out, scale=1
 ) -> tuple[int, int, int] | None:
@@ -258,15 +292,33 @@ def _first_tally_miss(
     where scale * count differs from targets_in[j] (c a member) or
     targets_out[j] (c not a member); None when every count matches.  The
     targets are ints, or None for one that is not integral and so misses at
-    the first k-space."""
+    the first k-space.
+
+    Each row table is symmetric (c' in rows[j][c] iff c in rows[j][c']), so
+    its tally over the family counts |rows[j][c] & family| at every c, and
+    its column sizes are the popcounts of its rows."""
     mask = cand.mask
-    for c in range(len(cand.ctx.kspaces)):
-        targets = targets_in if (mask >> c) & 1 else targets_out
-        for j, row in enumerate(rows):
-            count = (row[c] & mask).bit_count()
-            if scale * count != targets[j]:
-                return c, j, count
-    return None
+    full = cand.ctx.full_kspace_mask
+    tallies, misses, first = [], [], 0
+    for row, t_in, t_out in zip(rows, targets_in, targets_out):
+        planes = _member_tally(row, cand, full, map(int.bit_count, row))
+        hits = mask & equal_mask(planes, _scaled(t_in, scale), full)
+        hits |= ~mask & equal_mask(planes, _scaled(t_out, scale), full)
+        tallies.append(planes)
+        misses.append(full & ~hits)
+        first |= misses[-1]
+    if not first:
+        return None
+    c = (first & -first).bit_length() - 1
+    j = next(j for j, miss in enumerate(misses) if miss >> c & 1)
+    return c, j, _count_at(tallies[j], c)
+
+
+def _scaled(target: int | None, scale: int) -> int | None:
+    """The count whose scale multiple is target, None when there is none."""
+    if target is None or target % scale:
+        return None
+    return target // scale
 
 
 def _integral(targets) -> list[int | None]:
@@ -365,17 +417,18 @@ def check_switching_pairs(cand: CLCandidate, pairs) -> CheckResult:
 
 
 def _spread_meets(cand: CLCandidate, bundle: SchemeBundle) -> list[int]:
-    """|L meet S| for each spread S of bundle.spread_masks()."""
-    return [(m & cand.mask).bit_count() for m in bundle.spread_masks()]
+    """|L meet S| for the spreads S of bundle.spread_masks(), as the planes
+    of a bit-sliced counter indexed by spread."""
+    masks = bundle.spread_masks()
+    sizes = map(int.bit_count, masks)
+    return _member_tally(bundle.spread_through(), cand, (1 << len(masks)) - 1, sizes)
 
 
-def _spread_meet_constant(masks, meets) -> tuple[bool, object]:
-    """Whether |L meet S| is constant over the spreads with these masks, which
-    is every difference pair (S \\ S', S' \\ S) of the list balanced."""
-    if len(set(meets)) < 2:
-        return True, None
-    s = masks[next(idx for idx, meet in enumerate(meets) if meet != meets[0])]
-    return False, (ids_of(masks[0] & ~s), ids_of(s & ~masks[0]))
+def _difference_pair(masks, idx: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(S0 \\ S, S \\ S0) for the first spread S0 and S = masks[idx]: the
+    switching-set pair whose imbalance a differing spread meet shows."""
+    s = masks[idx]
+    return ids_of(masks[0] & ~s), ids_of(s & ~masks[0])
 
 
 def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) -> CheckResult:
@@ -390,8 +443,10 @@ def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) ->
         if len(masks) < 2:
             return CheckResult(Verdict.SKIPPED, note="fewer than two spreads known")
         meets = _spread_meets(cand, bundle) if meets is None else meets
-        ok, witness = _spread_meet_constant(masks, meets)
-        if not ok:
+        full = (1 << len(masks)) - 1
+        off = full & ~equal_mask(meets, _count_at(meets, 0), full)
+        if off:
+            witness = _difference_pair(masks, (off & -off).bit_length() - 1)
             return CheckResult(Verdict.FAIL, witness=witness)
         if bundle.spreads_exhaustive():
             return CheckResult(Verdict.PASS, note=f"{len(masks)} spreads, all pairs")
@@ -405,9 +460,10 @@ def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) ->
         if len(masks) < 2:
             continue
         smeets = [(m & cand.mask).bit_count() for m in masks]
-        ok, witness = _spread_meet_constant(masks, smeets)
-        if not ok:
-            return CheckResult(Verdict.FAIL, witness=("sigma", sigma.basis, witness))
+        off = next((idx for idx, meet in enumerate(smeets) if meet != smeets[0]), None)
+        if off is not None:
+            witness = ("sigma", sigma.basis, _difference_pair(masks, off))
+            return CheckResult(Verdict.FAIL, witness=witness)
         checked += 1
     if checked == 0:
         return CheckResult(Verdict.SKIPPED, note="no switching pairs available")
@@ -435,14 +491,16 @@ def check_spread_intersections(
             note="spread meets are integers; non-integer x is impossible",
         )
     target = int(x)
-    for idx, meet in enumerate(meets):
-        if meet != target:
-            return CheckResult(
-                Verdict.FAIL, witness=("spread", idx, "meet", meet, "expected", target)
-            )
+    total = len(bundle.spread_masks())
+    full = (1 << total) - 1
+    off = full & ~equal_mask(meets, target, full)
+    if off:
+        idx = (off & -off).bit_length() - 1
+        witness = ("spread", idx, "meet", _count_at(meets, idx), "expected", target)
+        return CheckResult(Verdict.FAIL, witness=witness)
     if bundle.spreads_exhaustive():
-        return CheckResult(Verdict.PASS, note=f"all {len(meets)} spreads")
-    return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(meets)} sampled spreads")
+        return CheckResult(Verdict.PASS, note=f"all {total} spreads")
+    return CheckResult(Verdict.SAMPLED_PASS, note=f"{total} sampled spreads")
 
 
 def point_flag_identity(cand: CLCandidate, point: int, tau: Subspace) -> bool:

@@ -43,6 +43,41 @@ def ids_of(mask: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
+# Bit-sliced counters (Knuth, TAOCP 4A, 7.1.3): a list of planes, low binary
+# digit first; bit e of planes[b] is digit b of the count at position e.
+
+
+def _add(planes: list[int], bits: int) -> None:
+    """Add 1 at every set bit of `bits` to a bit-sliced counter."""
+    for b, plane in enumerate(planes):
+        planes[b] = plane ^ bits
+        bits &= plane
+        if not bits:
+            return
+    if bits:
+        raise RuntimeError("meet-count tally overflow")
+
+
+def tally(rows, mask: int) -> list[int]:
+    """The bit-sliced planes of the sum of rows[c] over the ids c in mask:
+    position e counts the c in mask whose row has bit e."""
+    planes = [0] * max(1, mask.bit_count().bit_length())
+    for c in ids_of(mask):
+        _add(planes, rows[c])
+    return planes
+
+
+def equal_mask(planes: list[int], t: int | None, full: int) -> int:
+    """The positions in full whose count is t; none when t is None or
+    outside the counter's range."""
+    if t is None or not 0 <= t < 1 << len(planes):
+        return 0
+    eq = full
+    for b, plane in enumerate(planes):
+        eq &= plane if t >> b & 1 else ~plane
+    return eq
+
+
 def rref(rows, field: FieldCtx) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form over GF(q); zero rows dropped, pivots 1."""
     work = [list(r) for r in rows]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from math import lcm
 
-from .geometry import DEFAULT_SPREAD_POINT_CAP, GeometryCtx, ids_of, mask_of
+from .geometry import DEFAULT_SPREAD_POINT_CAP, GeometryCtx, mask_of
 from .linalg import FreeColumn, kernel_vectors, rref_int
 from .qformulas import _require_span_scale, eigenvalue_p, qbinom
 
@@ -70,13 +70,24 @@ def q_disjoint_coefficient(params) -> int:
 def _products_match(rel, products) -> bool:
     """Each (left, right, want) in products is an identity of 0/1 matrices
     L R^T = sum_j want[j] A_j, checked entry by entry: |left[x] & right[e]|
-    must be want[j] for e in rel[j][x]."""
+    must be want[j] for e in rel[j][x].  The relations must partition the
+    k-spaces at every x (their sum is all ones and adds no carry, so their
+    popcounts add up to N).  Then writing each rel[j][x] out as binary digits,
+    one byte per k-space, and adding j times their values gives the relation
+    index of row x, byte e holding the j with e in rel[j][x]."""
     total = len(rel[0])
+    full = (1 << total) - 1
+    fmt = f"0{total}b"
+    zeros = int.from_bytes(b"0" * total, "big")
     for x in range(total):
-        where = bytearray(total)
-        for j in range(1, len(rel)):
-            for e in ids_of(rel[j][x]):
-                where[e] = j
+        row = [masks[x] for masks in rel]
+        if sum(row) != full or sum(map(int.bit_count, row)) != total:
+            return False
+        index = sum(
+            j * (int.from_bytes(format(row[j], fmt).encode(), "big") - zeros)
+            for j in range(1, len(rel))
+        )
+        where = index.to_bytes(total, "little")
         for left, right, want in products:
             got = list(map(int.bit_count, map(left[x].__and__, right)))
             if got != list(map(want.__getitem__, where)):
@@ -118,6 +129,23 @@ class SpectrumCertificate:
     ok: bool
 
 
+def _intersection_products(p) -> list[list[int]]:
+    """wants[i-1][j], the coefficient of A_j in A_1 A_i for i = 1..d, from
+    the intersection numbers of the Grassmann graph (see full_spectrum_check)."""
+    n, k, q = p.n, p.k, p.q
+    d = min(k + 1, n - k)
+    b = [q ** (2 * i + 1) * qbinom(k + 1 - i, 1, q) * qbinom(n - k - i, 1, q) for i in range(d + 1)]
+    c = [qbinom(i, 1, q) ** 2 for i in range(d + 1)]
+    wants = []
+    for i in range(1, d + 1):
+        want = [0] * (k + 2)
+        want[i - 1], want[i] = b[i - 1], b[0] - b[i] - c[i]
+        if i < d:
+            want[i + 1] = c[i + 1]
+        wants.append(want)
+    return wants
+
+
 def full_spectrum_check(ctx: GeometryCtx) -> SpectrumCertificate:
     """Exact verification of the whole eigenmatrix against the built scheme.
 
@@ -132,22 +160,15 @@ def full_spectrum_check(ctx: GeometryCtx) -> SpectrumCertificate:
     zero beyond d and have its own P_{j,1}.  Dimensions come from Biggs'
     formula m_j = N / sum_i P_{j,i}^2 / v_i, with the valences v_i read off
     the masks, over L = lcm(v_i) with exact division, and m_j = 0 for j > d;
-    they must sum to N, and V0 must be the all-one line.
+    they must sum to N, and V0 must be the all-one line.  The mask identities
+    are checked once per geometry (SchemeBundle.distance_regular).
     """
     p = ctx.params
-    n, k, q = p.n, p.k, p.q
+    k = p.k
     total = len(ctx.kspaces)
     rel = ctx.relation_masks()
-    d = min(k + 1, n - k)
-    b = [q ** (2 * i + 1) * qbinom(k + 1 - i, 1, q) * qbinom(n - k - i, 1, q) for i in range(d + 1)]
-    c = [qbinom(i, 1, q) ** 2 for i in range(d + 1)]
-    wants = []  # wants[i-1][j]: the coefficient of A_j in A_1 A_i
-    for i in range(1, d + 1):
-        want = [0] * (k + 2)
-        want[i - 1], want[i] = b[i - 1], b[0] - b[i] - c[i]
-        if i < d:
-            want[i + 1] = c[i + 1]
-        wants.append(want)
+    wants = _intersection_products(p)
+    d = len(wants)
     rows = [[eigenvalue_p(j, i, p) for i in range(k + 2)] for j in range(d + 1)]
     valences = [masks[0].bit_count() for masks in rel[: d + 1]]
     scale = lcm(*valences)
@@ -167,8 +188,7 @@ def full_spectrum_check(ctx: GeometryCtx) -> SpectrumCertificate:
         and not any(rem for _, rem in biggs)
         and dims[0] == 1
         and sum(dims) == total
-        and not any(any(masks) for masks in rel[d + 1 :])
-        and _products_match(rel, [(rel[1], rel[i], want) for i, want in enumerate(wants, 1)])
+        and bundle_for(ctx).distance_regular()
     )
     return SpectrumCertificate(dims=dims, ok=ok)
 
@@ -182,10 +202,25 @@ class SchemeBundle:
         self.cache = cache
         self._rref: tuple[tuple[int, ...], list[FreeColumn]] | None = None
         self._spread_masks: list[int] | None = None
+        self._spread_through: list[int] | None = None
+        self._distance_regular: bool | None = None
 
     @property
     def params(self):
         return self.ctx.params
+
+    def distance_regular(self) -> bool:
+        """Whether the relation masks satisfy A_1 A_i = sum_j wants[i-1][j] A_j
+        for the intersection numbers of full_spectrum_check, entry by entry,
+        and are empty beyond the diameter; checked once, as both spectral
+        certificates rest on it."""
+        if self._distance_regular is None:
+            rel = self.relation_masks()
+            wants = _intersection_products(self.params)
+            self._distance_regular = not any(
+                any(masks) for masks in rel[len(wants) + 1 :]
+            ) and _products_match(rel, [(rel[1], rel[i], w) for i, w in enumerate(wants, 1)])
+        return self._distance_regular
 
     def incidence_rref(self) -> tuple[tuple[int, ...], list[FreeColumn]]:
         """(pivot columns, free columns) of the incidence matrix's RREF, from
@@ -232,6 +267,26 @@ class SchemeBundle:
                         self.cache.put("spreads", p, [list(s) for s in spreads])
             self._spread_masks = [mask_of(s) for s in spreads]
         return self._spread_masks
+
+    def spread_through(self) -> list[int]:
+        """The transpose of spread_masks(): per k-space c, the mask of the
+        spread indices s with c in spread s.  Built on first use, in blocks
+        of 512 spreads, so that no large temporary raises the peak memory: a
+        block's masks are written out as one string of binary digits, one
+        row per spread from the last to the first, and each k-space's column
+        is read back with a strided slice."""
+        if self._spread_through is None:
+            masks = self.spread_masks()
+            total = len(self.ctx.kspaces)
+            fmt = f"0{total}b"
+            through = [0] * total
+            for start in range(0, len(masks), 512):
+                block = masks[start : start + 512]
+                digits = "".join([format(m, fmt) for m in reversed(block)])
+                for c in range(total):
+                    through[c] |= int(digits[total - 1 - c :: total], 2) << start
+            self._spread_through = through
+        return self._spread_through
 
     def _cached_sample(self) -> list[list[int]] | None:
         """The cached spread sample if it is one spread_masks() could have

@@ -14,7 +14,8 @@ battery passes, and every returned family is battery-verified before it is
 reported.
 
 The state is two N-bit masks, members and non-members.  The meet counts are
-bit-sliced (Knuth, TAOCP 4A, 7.1.3): per relation i, the tally T_i (members
+bit-sliced (Knuth, TAOCP 4A, 7.1.3), in the counter of `geometry` that the
+battery tallies with too: per relation i, the tally T_i (members
 among each k-space's relation-i neighbours) and the ceiling A_i (deg_i minus
 non-members among them) are lists of N-bit planes, one per binary digit, so
 deciding a k-space adds or subtracts its neighbour mask with a ripple carry,
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .families import CLCandidate, run_battery
-from .geometry import GeometryCtx, ids_of, mask_of
+from .geometry import GeometryCtx, _add, ids_of, mask_of
 from .qformulas import (
     excludes_skew_subfamily,
     meet_count_target,
@@ -72,17 +73,6 @@ class SearchResult:
 
 def _int_or_none(value: Fraction) -> int | None:
     return int(value) if value.denominator == 1 else None
-
-
-def _add(planes: list[int], bits: int) -> None:
-    """Add 1 at every set bit of `bits` to a bit-sliced counter."""
-    for b, plane in enumerate(planes):
-        planes[b] = plane ^ bits
-        bits &= plane
-        if not bits:
-            return
-    if bits:
-        raise RuntimeError("meet-count tally overflow")
 
 
 def _sub(planes: list[int], bits: int) -> None:

@@ -24,6 +24,8 @@ from clkset import (
 )
 from clkset.families import (
     _CHECKS,
+    _count_at,
+    _member_tally,
     check_disjointness_counts,
     check_kernel_orthogonality,
     check_meet_distribution,
@@ -31,8 +33,13 @@ from clkset.families import (
     check_switching_pairs,
     check_switching_sets,
 )
-from clkset.geometry import mask_of
-from clkset.qformulas import hyperplane_family_parameter, parameter_range
+from clkset.geometry import ids_of, mask_of
+from clkset.qformulas import (
+    eigenvalue_p,
+    hyperplane_family_parameter,
+    parameter_range,
+    valence,
+)
 from _oracles import BATTERY_ORACLES, SPREAD_ORACLES
 
 
@@ -429,6 +436,99 @@ class TestSpreadMeetsMatchOracles:
                     assert got == (verdict, repr(witness), note), (name, cand.ids[:8])
                     verdicts.add((name, verdict is Verdict.FAIL))
         assert verdicts == {(name, v) for name in SPREAD_ORACLES for v in (True, False)}
+
+
+class TestTallyWitnessShapes:
+    """PG(3,3) lines, every spread listed: one-swap near-pencils whose first
+    spread off x is a later spread or spread 0, and pencils less or plus one
+    line, whose disjointness and meet targets are not integers and whose
+    Kneser targets are integers but not multiples of the 130 k-spaces.  Each
+    check, alone and in a battery, gives the (verdict, witness, note) of its
+    popcount oracle, and each witness shape is reached."""
+
+    def test_witnesses_match_popcount_oracles(self, pg33, pg33_bundle):
+        masks = pg33_bundle.spread_masks()
+        assert pg33_bundle.spreads_exhaustive() and len(masks) == 8424
+        pen = point_pencil_family(pg33, 0)
+        s0 = masks[0]
+        add = next(c for c in range(130) if c not in pen and not s0 >> c & 1)
+        keeps_s0 = next(c for c in pen.ids if not s0 >> c & 1)
+        leaves_s0 = next(c for c in pen.ids if s0 >> c & 1)
+        cands = {
+            "spread 0 on x": family(pg33, [c for c in pen.ids if c != keeps_s0] + [add]),
+            "spread 0 off x": family(pg33, [c for c in pen.ids if c != leaves_s0] + [add]),
+            "12 lines": family(pg33, pen.ids[1:]),
+            "14 lines": family(pg33, pen.ids + (add,)),
+        }
+        oracles = {**BATTERY_ORACLES, **SPREAD_ORACLES}
+        witness = {}
+        for label, cand in cands.items():
+            report = run_battery(cand, pg33_bundle)
+            for name, oracle in oracles.items():
+                expected = oracle(cand, pg33_bundle)
+                expected = (expected[0], repr(expected[1]), expected[2])
+                for res in (report.results[name], _CHECKS[name](cand, pg33_bundle)):
+                    assert (res.verdict, repr(res.witness), res.note) == expected, (label, name)
+                witness[label, name] = report.results[name].witness
+        # the first spread off x, and the first whose meet differs from
+        # spread 0's: a later spread, then spread 0 itself against a later one
+        spread, idx, _, meet = witness["spread 0 on x", "spread-intersections"][:4]
+        assert (spread, meet) == ("spread", 0) and idx > 0
+        assert witness["spread 0 off x", "spread-intersections"][:4] == ("spread", 0, "meet", 0)
+        for label in ("spread 0 on x", "spread 0 off x"):
+            gone, came = witness[label, "switching-sets"]
+            assert set(gone) <= set(ids_of(s0)) and not set(came) & set(ids_of(s0))
+        # non-integral targets miss at the first k-space
+        for label in ("12 lines", "14 lines"):
+            target = witness[label, "disjointness-counts"][3]
+            assert witness[label, "disjointness-counts"][:2] == ("kspace", 0)
+            assert isinstance(target, Fraction) and target.denominator != 1
+            assert witness[label, "meet-distribution"][:2] == ("kspace", 0)
+            assert witness[label, "kneser-eigenvector"] == ("kspace", 0)
+            size, p = len(cands[label]), pg33.params
+            deg, lam = valence(2, p), eigenvalue_p(1, 2, p)
+            assert size * (deg - lam) % 130 and (lam * (130 - size) + size * deg) % 130
+
+
+class TestMemberTally:
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_counts_match_popcounts(self, pg32, moved):
+        # families on both sides of half the k-spaces, on the relation
+        # tables and on the same tables with one pair moved from "meet" to
+        # "disjoint": still symmetric, no longer regular, so counted directly
+        rel = [list(masks) for masks in pg32.relation_masks()]
+        if moved:
+            e = ids_of(rel[1][0])[0]
+            for a, b in ((0, e), (e, 0)):
+                rel[1][a] ^= 1 << b
+                rel[2][a] |= 1 << b
+        pen = point_pencil_family(pg32, 0)
+        for cand in (pen, complement(pen), full_family(pg32), family(pg32, range(18))):
+            for rows in rel[1:]:
+                planes = _member_tally(rows, cand, pg32.full_kspace_mask, map(int.bit_count, rows))
+                for c in range(35):
+                    assert _count_at(planes, c) == (rows[c] & cand.mask).bit_count()
+
+
+class TestSpreadThrough:
+    @pytest.mark.parametrize("n,k,q", [(3, 1, 2), (3, 1, 3), (4, 1, 2), (5, 1, 2)])
+    def test_transpose_of_spread_masks(self, n, k, q):
+        # every spread of PG(3,2) and PG(3,3), none in PG(4,2), the sample of PG(5,2)
+        bundle = bundle_for(geometry(n, k, q))
+        masks = bundle.spread_masks()
+        through = bundle.spread_through()
+        assert len(through) == len(bundle.ctx.kspaces)
+        for c, row in enumerate(through):
+            assert row == mask_of(s for s, m in enumerate(masks) if m >> c & 1), c
+
+    def test_built_on_first_use_only(self, pg32):
+        bundle = SchemeBundle(pg32)
+        bundle.spread_masks()
+        assert bundle._spread_through is None
+        config = BatteryConfig(checks=("spread-intersections",))
+        run_battery(point_pencil_family(pg32, 0), bundle, config)
+        through = bundle._spread_through
+        assert through is not None and bundle.spread_through() is through
 
 
 class TestSpreadSample:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from _oracles import (
 )
 
 from clkset import GeometrySizeError, SchemeParams, Subspace, geometry, qbinom
-from clkset.geometry import GeometryCtx, ids_of, mask_of, rref
+from clkset.geometry import GeometryCtx, equal_mask, ids_of, mask_of, rref, tally
 
 
 class TestEnumeration:
@@ -133,12 +134,41 @@ class TestRelations:
         ctx = geometry(n, k, q)
         assert ctx.relation_masks() == relation_masks_pairwise(ctx)
 
+    @pytest.mark.parametrize("n,k,q", [(3, 1, 2), (4, 1, 2), (4, 2, 2)])
+    def test_every_table_symmetric(self, n, k, q):
+        # the battery's tallies read |rel[i][c] & L| off the sum of the
+        # members' rows, which holds only for symmetric tables
+        for masks in geometry(n, k, q).relation_masks():
+            for c, mask in enumerate(masks):
+                assert all(masks[e] >> c & 1 for e in ids_of(mask)), c
+
     def test_disjoint_count_matches_formula(self, pg32):
         from clkset import count_disjoint
 
         disj = pg32.disjointness_masks()
         for c in range(35):
             assert disj[c].bit_count() == count_disjoint(3, 2, 1, 1)
+
+
+class TestBitSlicedCounter:
+    def test_tally_counts_rows_through_each_position(self):
+        rng = random.Random(7)
+        rows = [rng.getrandbits(50) for _ in range(40)]
+        for mask in (0, 1, mask_of(rng.sample(range(40), 17)), (1 << 40) - 1):
+            planes = tally(rows, mask)
+            members = ids_of(mask)
+            for e in range(50):
+                count = sum(rows[c] >> e & 1 for c in members)
+                assert sum((p >> e & 1) << b for b, p in enumerate(planes)) == count
+                for t in range(len(members) + 1):
+                    assert (equal_mask(planes, t, (1 << 50) - 1) >> e & 1) == (count == t)
+
+    def test_targets_outside_the_counter_match_nowhere(self):
+        planes = tally([0b111, 0b011, 0b001], 0b111)  # counts 3, 2, 1 at bits 0, 1, 2
+        assert len(planes) == 2
+        assert [equal_mask(planes, t, 0b111) for t in range(4)] == [0, 0b100, 0b010, 0b001]
+        for t in (None, -1, 4, 5):
+            assert equal_mask(planes, t, 0b111) == 0
 
 
 class TestSpreads:

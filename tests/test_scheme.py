@@ -399,6 +399,32 @@ def test_moved_relation_pair_fails():
     assert full_spectrum_check(geometry(3, 1, 2)).ok
 
 
+def test_overlapping_relations_fail():
+    ctx = GeometryCtx(SchemeParams(n=3, k=1, q=2))
+    rel = ctx.relation_masks()
+    e = ids_of(rel[1][0])[0]
+    rel[2][0] |= 1 << e  # the pair now reads both "meet" and "disjoint"
+    rel[2][e] |= 1
+    assert not full_spectrum_check(ctx).ok
+
+
+def test_mask_identities_checked_once_per_geometry(monkeypatch):
+    ctx = GeometryCtx(SchemeParams(n=3, k=1, q=2))  # not the shared geometry()
+    calls = []
+    original = scheme._products_match
+
+    def counted(rel, products):
+        calls.append(len(products))
+        return original(rel, products)
+
+    monkeypatch.setattr(scheme, "_products_match", counted)
+    assert full_spectrum_check(ctx).ok
+    assert rowspace_equals_v0_v1(ctx).ok
+    assert full_spectrum_check(ctx).ok
+    # A_1 A_1 and A_1 A_2 once, then the split's own A^T A
+    assert calls == [2, 1]
+
+
 def test_wrong_eigenvalue_fails(pg32, monkeypatch):
     # P_{1,2} one too large: row 1 breaks the three-term recurrence
     def off_by_one(j, i, params):
