@@ -177,6 +177,7 @@ def cmd_verify(args) -> int:
                 None,
             ),
             "passed": report.passed,
+            "timings": {name: res.seconds for name, res in report.results.items()},
         }
         print(json.dumps(payload, indent=2))
     else:

@@ -19,8 +19,9 @@ is compared with every k-space's or spread's count in one scan of the planes
 through its complement, as every column of those rows has one size.
 `SchemeBundle.spread_masks()` holds every spread (full passes) or above 40
 points a sample (sampled passes).  Inside the (2k+1)-spaces of a larger
-geometry, the spread meets of `GeometryCtx.sigma_spread_masks` are
-popcounts, one list per subspace.
+geometry, every subspace's spreads are carried from one by rank, so each
+spread's meets over all the subspaces are one bit-sliced counter indexed by
+subspace (`GeometryCtx.sigma_rank_table`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import GeometryCtx, GeometrySizeError, Subspace, equal_mask, ids_of, mask_of, tally
+from .geometry import (
+    GeometryCtx,
+    GeometrySizeError,
+    Subspace,
+    _add,
+    equal_mask,
+    ids_of,
+    mask_of,
+    tally,
+)
 from .linalg import first_residual
 from .qformulas import (
     eigenvalue_p,
@@ -451,24 +461,46 @@ def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) ->
         if bundle.spreads_exhaustive():
             return CheckResult(Verdict.PASS, note=f"{len(masks)} spreads, all pairs")
         return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(masks)} sampled spreads")
-    checked = 0
-    for sigma in ctx.subspaces_of_dim(2 * p.k + 1):
-        try:
-            masks = ctx.sigma_spread_masks(sigma)
-        except GeometrySizeError as exc:  # the cap is the same for every sigma
-            return CheckResult(Verdict.SKIPPED, note=str(exc))
-        if len(masks) < 2:
-            continue
-        smeets = [(m & cand.mask).bit_count() for m in masks]
-        off = next((idx for idx, meet in enumerate(smeets) if meet != smeets[0]), None)
-        if off is not None:
-            witness = ("sigma", sigma.basis, _difference_pair(masks, off))
-            return CheckResult(Verdict.FAIL, witness=witness)
-        checked += 1
-    if checked == 0:
+    try:
+        rows, spreads = ctx.sigma_rank_table()
+    except GeometrySizeError as exc:  # the cap is the same for every sigma
+        return CheckResult(Verdict.SKIPPED, note=str(exc))
+    if len(spreads) < 2:
         return CheckResult(Verdict.SKIPPED, note="no switching pairs available")
+    sigmas = ctx.subspaces_of_dim(2 * p.k + 1)
+    full = (1 << len(sigmas)) - 1
+    # held[r]: the sigmas whose r-th k-space is a member, from the members'
+    # rows or, for a family of more than half the k-spaces, the complement
+    # of the non-members' rows
+    outside = 2 * len(cand) > len(ctx.kspaces)
+    held = [0] * qbinom(2 * p.k + 2, p.k + 1, p.q)
+    for c in ids_of(ctx.full_kspace_mask & ~cand.mask if outside else cand.mask):
+        for r, m in rows[c]:
+            held[r] |= m
+    if outside:
+        held = [full & ~m for m in held]
+    # spread j's meets, one bit-sliced counter indexed by sigma; misses[j] are
+    # the sigmas where it differs from spread 0's
+    width = len(spreads[0]).bit_length()
+    first, misses, off = None, [], 0
+    for spread in spreads:
+        planes = [0] * width
+        for r in spread:
+            _add(planes, held[r])
+        if first is None:
+            first = planes
+        miss = 0
+        for a, b in zip(planes, first):
+            miss |= a ^ b
+        misses.append(miss)
+        off |= miss
+    if off:
+        s = (off & -off).bit_length() - 1
+        j = next(j for j, miss in enumerate(misses) if miss >> s & 1)
+        pair = _difference_pair(ctx.sigma_spread_masks(sigmas[s]), j)
+        return CheckResult(Verdict.FAIL, witness=("sigma", sigmas[s].basis, pair))
     return CheckResult(
-        Verdict.PASS, note=f"spread pairs inside {checked} span-dimensional subspaces"
+        Verdict.PASS, note=f"spread pairs inside {len(sigmas)} span-dimensional subspaces"
     )
 
 

@@ -4,10 +4,11 @@ Subspaces are stored as reduced-row-echelon bases over GF(q); two values are
 equal exactly when they describe the same subspace.  A GeometryCtx fixes a
 deterministic id order (lexicographic on the flattened canonical matrices)
 for the points and the k-spaces, and precomputes the incidence bitmasks the
-rest of the package runs on.  Spreads are kept as k-space bitmasks too, one
-list per (2k+1)-space; the public enumerators return them as id tuples.  Each
-(2k+1)-space's spreads are carried from one backtrack by rank order (see
-GeometryCtx.sigma_spread_masks).
+rest of the package runs on.  Spreads are k-space bitmasks too, and the public
+enumerators return them as id tuples.  Every (2k+1)-space's spreads are carried
+from one backtrack by rank order: each subspace keeps only the ids of its
+k-spaces in that order (GeometryCtx._carried_kspaces), and its spread masks are
+rebuilt from them on request.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ class GeometryCtx:
             self._point_count_to_dim[acc] = d
         self._relations: list[list[int]] | None = None
         self._mask_cache: dict[tuple[tuple[int, ...], ...], int] = {}
-        self._sub_spread_masks: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+        self._sigma_kspaces: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+        self._sigma_rank_rows: list[tuple[tuple[int, int], ...]] | None = None
         self._sigma0_spreads: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None = None
         self._bundle = None  # the scheme.SchemeBundle of bundle_for
 
@@ -242,16 +244,19 @@ class GeometryCtx:
         coeffs = self._coeff_points.get(dim)
         if coeffs is None:
             coeffs = self._coeff_points[dim] = _canonical_points(dim, self.field)
-        field = self.field
+        add, mul = self.field.add_table, self.field.mul_table
+        width = self.params.n + 1
+        point_id = self.point_id
         ids = []
         for combo in coeffs:
-            vec = [0] * (self.params.n + 1)
+            vec = [0] * width
             for c, row in zip(combo, basis):
                 if c:
+                    times = mul[c]
                     for j, v in enumerate(row):
                         if v:
-                            vec[j] = field.add(vec[j], field.mul(c, v))
-            ids.append(self.point_id[tuple(vec)])
+                            vec[j] = add[vec[j]][times[v]]
+            ids.append(point_id[tuple(vec)])
         ids.sort()
         return tuple(ids)
 
@@ -471,44 +476,69 @@ class GeometryCtx:
             self._sigma0_spreads = (kspaces, spreads)
         return self._sigma0_spreads
 
-    def sigma_spread_masks(self, sigma: Subspace) -> list[int]:
-        """All k-spreads of a (2k+1)-dimensional subspace, as k-space masks in
-        increasing id-tuple order, built once per subspace; refused above
-        DEFAULT_SPREAD_POINT_CAP points per subspace, like enumerate_all_spreads.
+    def _carried_kspaces(self, sigma: Subspace) -> tuple[int, ...]:
+        """The ids of the k-spaces of a (2k+1)-space sigma, in the rank order
+        of sigma0's k-spaces (`_local_spreads`), kept once per subspace;
+        refused above DEFAULT_SPREAD_POINT_CAP points per subspace.
 
-        They are carried from sigma0's spreads (`_local_spreads`) by rank.  With
-        B the RREF basis of sigma, c -> c.B maps the coordinates of PG(2k+1,q)
-        onto sigma and is strictly increasing in lexicographic order: c.B agrees
-        with c on B's pivot columns, and before the pivot of row i it depends on
-        c_0..c_(i-1) alone.  For a local RREF matrix M, M.B is again in RREF, so
-        canonical points and bases map to canonical ones and the flattened order
-        is kept.  Hence the i-th point of sigma is the image of the i-th point
-        of sigma0, and the i-th k-space of sigma that of the i-th k-space of
-        sigma0.  Each carried k-space is found as the AND of the pencils of its
-        points; that it is one k-space, and that the ids increase, certify that
-        the rank map is a collineation which keeps the order."""
+        With B the RREF basis of sigma, c -> c.B maps the coordinates of
+        PG(2k+1,q) onto sigma and is strictly increasing in lexicographic
+        order: c.B agrees with c on B's pivot columns, and before the pivot of
+        row i it depends on c_0..c_(i-1) alone.  For a local RREF matrix M, M.B
+        is again in RREF, so canonical points and bases map to canonical ones
+        and the flattened order is kept.  Hence the i-th point of sigma is the
+        image of the i-th point of sigma0, and the i-th k-space of sigma that
+        of the i-th k-space of sigma0.  Each carried k-space is found as the
+        AND of the pencils of its points; that it is one k-space, and that the
+        ids increase, certify that the rank map is a collineation which keeps
+        the order."""
         if sigma.dim != 2 * self.params.k + 1:
             raise ValueError(
                 f"need a {2 * self.params.k + 1}-space, got dim {sigma.dim}"
             )
-        if sigma.basis not in self._sub_spread_masks:
-            kspaces, spreads = self._local_spreads()
+        ids = self._sigma_kspaces.get(sigma.basis)
+        if ids is None:
+            kspaces, _ = self._local_spreads()
             pts = ids_of(self.point_mask(sigma))
             pencils = self.pencil_masks
-            bits = []
+            carried = []
             for ranks in kspaces:
                 star = self.full_kspace_mask
                 for i in ranks:
                     star &= pencils[pts[i]]
-                if star.bit_count() != 1 or (bits and star <= bits[-1]):
+                c = star.bit_length() - 1
+                if star.bit_count() != 1 or (carried and c <= carried[-1]):
                     raise RuntimeError(
                         f"the rank map onto {sigma.basis} is not an order-keeping collineation"
                     )
-                bits.append(star)
-            self._sub_spread_masks[sigma.basis] = [
-                sum(map(bits.__getitem__, s)) for s in spreads
-            ]
-        return self._sub_spread_masks[sigma.basis]
+                carried.append(c)
+            ids = self._sigma_kspaces[sigma.basis] = tuple(carried)
+        return ids
+
+    def sigma_spread_masks(self, sigma: Subspace) -> list[int]:
+        """All k-spreads of a (2k+1)-dimensional subspace, as k-space masks in
+        increasing id-tuple order: sigma0's spreads carried by rank
+        (`_carried_kspaces`), built on each call and not kept."""
+        bits = [1 << c for c in self._carried_kspaces(sigma)]
+        _, spreads = self._local_spreads()
+        return [sum(map(bits.__getitem__, s)) for s in spreads]
+
+    def sigma_rank_table(self) -> tuple[list[tuple[tuple[int, int], ...]], list[tuple[int, ...]]]:
+        """(rows, spreads): rows[c] lists, by increasing rank r, the pairs
+        (r, M) with M the mask of the indices s into subspaces_of_dim(2k+1)
+        whose r-th carried k-space is c; spreads are sigma0's spreads by rank
+        (`_local_spreads`).  So the spread j of subspace s meets a family L in
+        the number of r in spreads[j] with bit s in the OR of L's M for r.
+        Built on first use, from every subspace's carried k-spaces."""
+        if self._sigma_rank_rows is None:
+            cells: list[dict[int, int]] = [{} for _ in self.kspaces]
+            for s, sigma in enumerate(self.subspaces_of_dim(2 * self.params.k + 1)):
+                bit = 1 << s
+                for r, c in enumerate(self._carried_kspaces(sigma)):
+                    cell = cells[c]
+                    cell[r] = cell.get(r, 0) | bit
+            self._sigma_rank_rows = [tuple(sorted(cell.items())) for cell in cells]
+        return self._sigma_rank_rows, self._local_spreads()[1]
 
     def spreads_within(self, sigma: Subspace) -> list[tuple[int, ...]]:
         """sigma_spread_masks(sigma) as id tuples, in increasing id order."""

@@ -91,10 +91,11 @@ def canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 class FieldCtx:
     """Arithmetic tables for GF(q), q = p^e, over the canonical modulus.
 
-    All operations take and return element indices (plain ints).
+    All operations take and return element indices (plain ints); inner loops
+    may index add_table[a][b] = a + b and mul_table[a][b] = a * b directly.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_mul", "_inv", "_add", "_neg")
+    __slots__ = ("p", "e", "q", "modulus", "mul_table", "_inv", "add_table", "_neg")
 
     def __init__(self, q: int):
         self.p, self.e = factor_prime_power(q)
@@ -124,8 +125,8 @@ class FieldCtx:
                 add[a][b] = add[b][a] = _poly_to_index(s, p)
                 prod = _poly_mod(_poly_mul(pa, pb, p), self.modulus, p)
                 mul[a][b] = mul[b][a] = _poly_to_index(prod, p)
-        self._add = add
-        self._mul = mul
+        self.add_table = add
+        self.mul_table = mul
         neg = [0] * q
         inv = [0] * q
         for a in range(q):
@@ -138,16 +139,16 @@ class FieldCtx:
         self._inv = inv
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self.add_table[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.mul_table[a][b]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
+        return self.add_table[a][self._neg[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -9,7 +9,7 @@ from math import gcd, lcm
 
 from clkset import GeometryCtx
 from clkset.families import Verdict
-from clkset.geometry import ids_of, mask_of
+from clkset.geometry import GeometrySizeError, ids_of, mask_of
 from clkset.linalg import kernel_vectors, rref_int
 from clkset.qformulas import (
     _require_span_scale,
@@ -60,6 +60,24 @@ def count_subspaces_bruteforce(a: int, b: int, q: int) -> int:
         if len(span) == q**b:  # rows independent
             spans.add(frozenset(span))
     return len(spans)
+
+
+def span_point_ids_fieldcalls(ctx: GeometryCtx, basis) -> tuple[int, ...]:
+    """Ids of the points spanned by an RREF basis: every canonical coefficient
+    vector times the basis, one FieldCtx.add/mul call per entry."""
+    field = ctx.field
+    ids = []
+    for combo in itertools.product(range(field.q), repeat=len(basis)):
+        if next((c for c in combo if c), None) != 1:
+            continue
+        vec = [0] * (ctx.params.n + 1)
+        for c, row in zip(combo, basis):
+            if c:
+                for j, v in enumerate(row):
+                    if v:
+                        vec[j] = field.add(vec[j], field.mul(c, v))
+        ids.append(ctx.point_id[tuple(vec)])
+    return tuple(sorted(ids))
 
 
 def sigma_spread_masks_backtrack(ctx: GeometryCtx, sigma) -> list[int]:
@@ -528,7 +546,8 @@ BATTERY_ORACLES = {
 
 # -- the spread checks' former loops -------------------------------------------
 # switching-sets and spread-intersections each counted |L meet S| over the
-# spread masks themselves; a battery now counts them once for both.
+# spread masks themselves; a battery now counts them once for both, and
+# switching-sets counts the meets inside every (2k+1)-space in one tally.
 
 
 def _meet_constant_loop(cand, masks):
@@ -561,9 +580,14 @@ def switching_check_loop(cand, bundle):
         if bundle.spreads_exhaustive():
             return Verdict.PASS, None, f"{len(masks)} spreads, all pairs"
         return Verdict.SAMPLED_PASS, None, f"{len(masks)} sampled spreads"
+    # inside the (2k+1)-spaces, one popcount list per subspace, which stops
+    # at the first subspace whose meets are not constant
     checked = 0
     for sigma in ctx.subspaces_of_dim(2 * p.k + 1):
-        masks = ctx.sigma_spread_masks(sigma)
+        try:
+            masks = ctx.sigma_spread_masks(sigma)
+        except GeometrySizeError as exc:  # the cap is the same for every sigma
+            return Verdict.SKIPPED, None, str(exc)
         if len(masks) < 2:
             continue
         ok, witness = _meet_constant_loop(cand, masks)

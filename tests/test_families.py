@@ -33,14 +33,15 @@ from clkset.families import (
     check_switching_pairs,
     check_switching_sets,
 )
-from clkset.geometry import ids_of, mask_of
+from clkset.geometry import GeometryCtx, ids_of, mask_of
 from clkset.qformulas import (
+    SchemeParams,
     eigenvalue_p,
     hyperplane_family_parameter,
     parameter_range,
     valence,
 )
-from _oracles import BATTERY_ORACLES, SPREAD_ORACLES
+from _oracles import BATTERY_ORACLES, SPREAD_ORACLES, switching_check_loop
 
 
 class TestConstructors:
@@ -438,6 +439,59 @@ class TestSpreadMeetsMatchOracles:
         assert verdicts == {(name, v) for name in SPREAD_ORACLES for v in (True, False)}
 
 
+class TestSigmaSwitchingMatchesOracle:
+    """When n > 2k+1, switching-sets tallies the spread meets of every
+    (2k+1)-space at once; it gives the (verdict, witness, note) of the
+    per-subspace popcount loop on pencils, hyperplane families, their union,
+    the complements, one-swap near-pencils and random families, alone and in
+    a battery, and the witness subspace is not always the first."""
+
+    @pytest.mark.parametrize("n,k,q", [(4, 1, 2), (5, 1, 2)])
+    def test_roster(self, n, k, q):
+        ctx = geometry(n, k, q)
+        bundle = bundle_for(ctx)
+        rng = random.Random(n * 100 + k * 10 + q + 1)
+        roster = _oracle_roster(ctx, rng)
+        hyp = ctx.hyperplanes()[-1]
+        off = next(pt for pt in range(len(ctx.points)) if not ctx.point_mask(hyp) >> pt & 1)
+        union = family(ctx, set(ctx.pencil(off)) | set(ctx.all_in(hyp)))
+        roster += [union, complement(union)]
+        config = BatteryConfig(checks=("switching-sets",))
+        outcomes, sigmas = set(), set()
+        for cand in roster:
+            expected = switching_check_loop(cand, bundle)
+            expected = (expected[0], repr(expected[1]), expected[2])
+            for res in (
+                check_switching_sets(cand, bundle),
+                run_battery(cand, bundle, config).results["switching-sets"],
+            ):
+                assert (res.verdict, repr(res.witness), res.note) == expected, cand.ids[:8]
+            outcomes.add(res.verdict)
+            if res.witness is not None:
+                sigmas.add(res.witness[1])
+        assert outcomes == {Verdict.PASS, Verdict.FAIL}
+        assert len(sigmas) > 1
+
+    @pytest.mark.parametrize("n,k,q", [(4, 1, 4), (3, 0, 2)])
+    def test_skipped_notes(self, n, k, q):
+        # the solids of PG(4,4) are above the spread point cap, and a line
+        # has one spread of points, so no switching pair
+        ctx = geometry(n, k, q)
+        cand = point_pencil_family(ctx, 0)
+        res = check_switching_sets(cand, bundle_for(ctx))
+        expected = switching_check_loop(cand, bundle_for(ctx))
+        assert (res.verdict, res.witness, res.note) == expected
+        assert res.verdict is Verdict.SKIPPED
+
+    def test_tampered_kspace_mask_raises(self):
+        ctx = GeometryCtx(SchemeParams(n=4, k=1, q=2))
+        sigma0 = ctx.subspaces_of_dim(3)[0]
+        first, second = ctx.all_in(sigma0)[:2]
+        ctx.kspace_masks[first] = ctx.kspace_masks[second]
+        with pytest.raises(RuntimeError, match="not an order-keeping collineation"):
+            check_switching_sets(point_pencil_family(ctx, 0), SchemeBundle(ctx))
+
+
 class TestTallyWitnessShapes:
     """PG(3,3) lines, every spread listed: one-swap near-pencils whose first
     spread off x is a later spread or spread 0, and pencils less or plus one
@@ -536,8 +590,6 @@ class TestSpreadSample:
         """Batteries and spread_masks() on a geometry above the spread point cap
         share one sample, and a shared sample gives the verdicts, witnesses
         and notes of a sample built per battery."""
-        from clkset.geometry import GeometryCtx
-
         config = BatteryConfig(checks=("switching-sets", "spread-intersections"))
         cands = [point_pencil_family(pg52, 0), family(pg52, range(31))]
         expected = [

@@ -6,10 +6,20 @@ from _oracles import (
     coordinate_permutation_images,
     relation_masks_pairwise,
     sigma_spread_masks_backtrack,
+    span_point_ids_fieldcalls,
 )
 
-from clkset import GeometrySizeError, SchemeParams, Subspace, geometry, qbinom
+from clkset import (
+    GeometrySizeError,
+    SchemeParams,
+    Subspace,
+    geometry,
+    point_pencil_family,
+    qbinom,
+)
+from clkset.cli import main
 from clkset.geometry import GeometryCtx, equal_mask, ids_of, mask_of, rref, tally
+from clkset.io import save_family
 
 
 class TestEnumeration:
@@ -50,6 +60,15 @@ class TestEnumeration:
     def test_size_cap(self):
         with pytest.raises(GeometrySizeError):
             GeometryCtx(SchemeParams(n=9, k=2, q=5))
+
+    @pytest.mark.parametrize("n,k,q", [(3, 1, 4), (3, 1, 5), (4, 2, 2)])
+    def test_span_points_match_field_calls(self, n, k, q):
+        # one prime-power field, one larger prime, and planes
+        ctx = geometry(n, k, q)
+        for sub, mask in zip(ctx.kspaces, ctx.kspace_masks):
+            assert ids_of(mask) == span_point_ids_fieldcalls(ctx, sub.basis)
+        sigma = ctx.subspaces_of_dim(n - 1)[-1]
+        assert ids_of(ctx.point_mask(sigma)) == span_point_ids_fieldcalls(ctx, sigma.basis)
 
 
 class TestIntersection:
@@ -304,6 +323,40 @@ class TestSigmaSpreads:
         assert len(sigmas) == 651
         assert all(len(ctx.sigma_spread_masks(sigma)) == 56 for sigma in sigmas)
         assert len(calls) == 1
+
+    def test_rank_table_matches_carried_kspaces(self, pg42):
+        rows, spreads = pg42.sigma_rank_table()
+        sigmas = pg42.subspaces_of_dim(3)
+        assert spreads == pg42._local_spreads()[1] and len(spreads) == 56
+        cells = {(c, r): ids_of(m) for c, row in enumerate(rows) for r, m in row}
+        expected = {}
+        for s, sigma in enumerate(sigmas):
+            for r, c in enumerate(pg42._carried_kspaces(sigma)):
+                expected.setdefault((c, r), []).append(s)
+        assert cells == {key: tuple(where) for key, where in expected.items()}
+        assert all([r for r, _ in row] == sorted({r for r, _ in row}) for row in rows)
+        assert pg42.sigma_rank_table()[0] is rows
+
+    def test_verify_keeps_no_sigma_spread_masks(self, tmp_path):
+        """After a verify in PG(5,2), no int the geometry holds, through its
+        dicts, lists and tuples, is the spread mask of any solid."""
+        ctx = geometry(5, 1, 2)
+        path = str(tmp_path / "pencil.clkset")
+        save_family(path, point_pencil_family(ctx, 0))
+        assert main(["verify", "--in", path, "--cache-dir", str(tmp_path / "c")]) == 0
+        held, stack = set(), list(vars(ctx).values())
+        while stack:
+            value = stack.pop()
+            if isinstance(value, int):
+                held.add(value)
+            elif isinstance(value, dict):
+                stack += value.keys()
+                stack += value.values()
+            elif isinstance(value, (list, tuple)):
+                stack += value
+        masks = {m for sigma in ctx.subspaces_of_dim(3) for m in ctx.sigma_spread_masks(sigma)}
+        assert len(masks) == 651 * 56
+        assert not held & masks
 
     def test_guard_before_backtrack(self, monkeypatch):
         """Every solid of PG(4,4) has 85 points, over the spread point cap:

@@ -327,6 +327,28 @@ X_PG32_2_THREADS_2 = (
 )
 
 
+# `verify --format json` on a PG(4,2) lines pencil and on 31 scattered lines,
+# as printed before the timings key was added
+VERIFY_JSON_PG42 = {
+    "pencil": (
+        '{\n  "n": 4,\n  "q": 2,\n  "k": 1,\n  "x_num": 1,\n  "x_den": 1,\n  "size": 15,\n'
+        '  "verdicts": {\n    "rowspace": "pass",\n    "kernel": "pass",\n'
+        '    "disjointness-counts": "pass",\n    "kneser-eigenvector": "pass",\n'
+        '    "eigenspace-split": "pass",\n    "meet-distribution": "pass",\n'
+        '    "switching-sets": "pass",\n    "spread-intersections": "skipped"\n  },\n'
+        '  "witness": null,\n  "passed": true\n}\n'
+    ),
+    "scattered": (
+        '{\n  "n": 4,\n  "q": 2,\n  "k": 1,\n  "x_num": 31,\n  "x_den": 15,\n  "size": 31,\n'
+        '  "verdicts": {\n    "rowspace": "fail",\n    "kernel": "fail",\n'
+        '    "disjointness-counts": "fail",\n    "kneser-eigenvector": "fail",\n'
+        '    "eigenspace-split": "fail",\n    "meet-distribution": "fail",\n'
+        '    "switching-sets": "fail",\n    "spread-intersections": "skipped"\n  },\n'
+        '  "witness": "(\'residual-at\', 17)",\n  "passed": false\n}\n'
+    ),
+}
+
+
 class TestCLI:
     def test_formulas_text(self, capsys):
         assert main(["formulas", "--n", "3", "--q", "2", "--k", "1"]) == 0
@@ -421,6 +443,24 @@ class TestCLI:
         assert main(
             ["verify", "--in", path, "--cache-dir", str(tmp_path / "c")]
         ) == 1
+
+    @pytest.mark.parametrize("label,code", [("pencil", 0), ("scattered", 1)])
+    def test_verify_json_timings(self, tmp_path, capsys, label, code):
+        """The per-check seconds come last, in a `timings` key; every other
+        key prints byte for byte as it did without it."""
+        ctx = geometry(4, 1, 2)
+        fam = point_pencil_family(ctx, 0) if label == "pencil" else family(ctx, range(0, 155, 5))
+        path = str(tmp_path / "f.clkset")
+        save_family(path, fam)
+        argv = ["verify", "--in", path, "--format", "json", "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        head, _ = out.split(',\n  "timings": ')
+        assert head + "\n}\n" == VERIFY_JSON_PG42[label]
+        data = json.loads(out)
+        assert list(data)[-1] == "timings"
+        assert list(data["timings"]) == list(data["verdicts"])
+        assert all(isinstance(t, float) and t >= 0 for t in data["timings"].values())
 
     def test_verify_plane_pencil_in_pg42(self, tmp_path, capsys):
         out = str(tmp_path / "p.clkset")
