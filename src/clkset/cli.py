@@ -275,6 +275,10 @@ def _search(args) -> int:
                     "lhs": str(row.skew_audit.lhs),
                     "rhs": str(row.skew_audit.rhs),
                 },
+                "nodes": row.stats.nodes,
+                "forced": row.stats.forced,
+                "leaves": row.stats.leaves,
+                "prunes": row.stats.prunes,
             }
             for row in nonexistence_window(ctx, lo, hi, args.threads)
         ]

@@ -10,11 +10,13 @@ verdicts agree; a disagreement is a defect in this package, never a property
 of the input, and is raised loudly.
 
 The linear checks share one integer scan of the incidence RREF's free columns
-(`linalg.first_residual`).  The counting and spectral ones, and the spread
-checks when n = 2k+1, count with the bit-sliced counter the search engine
-keeps its meet counts in (`geometry.tally`): the family's relation rows, or
-its rows of `SchemeBundle.spread_through()`, are summed once, and each target
-is compared with every k-space's or spread's count in one scan of the planes
+(`linalg.first_residual`), read off the family bitmask: each column's support
+is grouped by coefficient into pivot masks (`SchemeBundle.residual_masks()`).
+The counting and spectral ones, and the spread checks when n = 2k+1, count
+with the bit-sliced counter the search engine keeps its meet counts in
+(`geometry.tally`): the family's relation rows, or its rows of
+`SchemeBundle.spread_through()`, are summed once, and each target is compared
+with every k-space's or spread's count in one scan of the planes
 (`geometry.equal_mask`).  A family of more than half the k-spaces is counted
 through its complement, as every column of those rows has one size.
 `SchemeBundle.spread_masks()` holds every spread (full passes) or above 40
@@ -41,7 +43,6 @@ from .geometry import (
     mask_of,
     tally,
 )
-from .linalg import first_residual
 from .qformulas import (
     eigenvalue_p,
     meet_count_target,
@@ -249,10 +250,24 @@ class BatteryConfig:
 # -- individual checks -------------------------------------------------------
 
 
+def _first_residual(cand: CLCandidate, bundle: SchemeBundle) -> tuple[int, int] | None:
+    """linalg.first_residual of the characteristic vector: (position,
+    column) of the first free column f with L_f [f in family] differing
+    from the sum of coef * |pivot mask & family|, or None."""
+    fam = cand.mask
+    for idx, (f, scale, terms) in enumerate(bundle.residual_masks()):
+        total = 0
+        for coef, mask in terms:  # a plain loop: no generator per column
+            total += coef * (mask & fam).bit_count()
+        if scale * (fam >> f & 1) != total:
+            return idx, f
+    return None
+
+
 def check_rowspace_membership(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Characteristic vector lies in the row space of the incidence matrix;
     a failure names the first column with a nonzero residual."""
-    miss = first_residual(bundle.incidence_rref()[1], cand.vector())
+    miss = _first_residual(cand, bundle)
     if miss is None:
         return CheckResult(Verdict.PASS)
     return CheckResult(Verdict.FAIL, witness=("residual-at", miss[1]))
@@ -261,7 +276,7 @@ def check_rowspace_membership(cand: CLCandidate, bundle: SchemeBundle) -> CheckR
 def check_kernel_orthogonality(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Characteristic vector is orthogonal to ker(A); a failure names the
     first kernel_int() vector it is not orthogonal to."""
-    miss = first_residual(bundle.incidence_rref()[1], cand.vector())
+    miss = _first_residual(cand, bundle)
     if miss is None:
         return CheckResult(Verdict.PASS)
     return CheckResult(Verdict.FAIL, witness=("kernel-vector", miss[0]))

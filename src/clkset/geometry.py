@@ -48,15 +48,16 @@ def ids_of(mask: int) -> tuple[int, ...]:
 # digit first; bit e of planes[b] is digit b of the count at position e.
 
 
-def _add(planes: list[int], bits: int) -> None:
-    """Add 1 at every set bit of `bits` to a bit-sliced counter."""
-    for b, plane in enumerate(planes):
+def _add(planes: list[int], bits: int, start: int = 0) -> None:
+    """Add 2^start at every set bit of `bits` to a bit-sliced counter."""
+    for b in range(start, len(planes)):
+        plane = planes[b]
         planes[b] = plane ^ bits
         bits &= plane
         if not bits:
             return
     if bits:
-        raise RuntimeError("meet-count tally overflow")
+        raise RuntimeError("bit-sliced counter overflow")
 
 
 def tally(rows, mask: int) -> list[int]:

@@ -201,9 +201,11 @@ class SchemeBundle:
         self.ctx = ctx
         self.cache = cache
         self._rref: tuple[tuple[int, ...], list[FreeColumn]] | None = None
+        self._residual_masks: list[tuple[int, int, tuple[tuple[int, int], ...]]] | None = None
         self._spread_masks: list[int] | None = None
         self._spread_through: list[int] | None = None
         self._distance_regular: bool | None = None
+        self.search_tables = None  # the search engine's, built on its first search
 
     @property
     def params(self):
@@ -230,6 +232,19 @@ class SchemeBundle:
         if self._rref is None:
             self._rref = rref_int(incidence_rows(self.ctx), len(self.ctx.kspaces))
         return self._rref
+
+    def residual_masks(self) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+        """The free columns of incidence_rref() with each support grouped by
+        coefficient: (f, L, ((coef, mask of the pivots with it), ...)), so a
+        0/1 vector's equations are read off its bitmask; built once."""
+        if self._residual_masks is None:
+            self._residual_masks = []
+            for f, scale, supp in self.incidence_rref()[1]:
+                by_coef: dict[int, int] = {}
+                for pcol, coef in supp:
+                    by_coef[coef] = by_coef.get(coef, 0) | 1 << pcol
+                self._residual_masks.append((f, scale, tuple(by_coef.items())))
+        return self._residual_masks
 
     def kernel_int(self) -> list[tuple[int, ...]]:
         """Primitive integer kernel basis of the incidence matrix, one vector

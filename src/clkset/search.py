@@ -2,29 +2,31 @@
 
 There is one engine, and its one setting is the number of worker processes
 (`threads`), which partitions the tree at the root without changing the
-families or their order.  It branches only on the pivot columns
-of the incidence matrix's RREF: the remaining coordinates of any admissible
+families or their order.  It branches only on the pivot columns of the
+incidence matrix's RREF: the other coordinates of any admissible
 characteristic vector are linear functions of the pivot coordinates
 (orthogonality to the kernel of A), so they are forced, interval-pruned while
-partially decided, and verified on completion.  On top of that, every decided
-k-space carries exact meet-count targets per relation; running counts against
-those targets prune and force aggressively.  Both rule families are implied by
-membership, so the search is exhaustive: it returns exactly the families whose
-battery passes, and every returned family is battery-verified before it is
-reported.
+partially decided, and verified on completion.  Every k-space also carries
+exact meet-count targets per relation, which prune and force.  Both rule
+families are implied by membership, so the search returns exactly the
+families whose battery passes, each battery-verified before it is reported.
 
-The state is two N-bit masks, members and non-members.  The meet counts are
-bit-sliced (Knuth, TAOCP 4A, 7.1.3), in the counter of `geometry` that the
-battery tallies with too: per relation i, the tally T_i (members
-among each k-space's relation-i neighbours) and the ceiling A_i (deg_i minus
-non-members among them) are lists of N-bit planes, one per binary digit, so
-deciding a k-space adds or subtracts its neighbour mask with a ripple carry,
-and a comparison against a target is one scan over the planes.  Forced
-decisions wait in two pending masks; a k-space pending both ways, or against
-its decided value, is a conflict.  Propagation runs in waves: a wave decides
-the whole pending set at once and then checks each rule once on what it
-changed (the size rule; per relation, the count rules on the wave and its
-neighbours; the linear rule of every free column whose support it touched).
+The state is two N-bit masks, members and non-members, and four bit-sliced
+counters (Knuth, TAOCP 4A, 7.1.3) that only add, through `geometry._add`;
+a scan from the top digit compares one with per-position bounds.
+- The in-tally T and out-tally O count, at position (i, c), bit (i-1)N + c,
+  the members and the non-members among c's relation-i neighbours, so
+  deciding c adds one wide row.  A side with target t needs T <= t and a
+  ceiling deg_i - O >= t, that is O <= deg_i - t.
+- Mup and Pdn count, at free column f's bit, how far the least and the
+  greatest reachable value of sum coef * chi_pivot have risen and fallen.
+  With m0_f and p0_f the magnitudes of f's negative and positive
+  coefficients, 0 is reachable while Mup <= m0_f and Pdn <= p0_f, and L_f
+  while Mup <= m0_f + L_f and Pdn <= p0_f - L_f.
+Forced decisions wait in two pending masks; a k-space pending both ways, or
+against its decided value, is a conflict.  A wave decides the whole pending
+set and checks each rule once: size, the count rules (pushed relation by
+relation) and the linear rule of the free columns whose support it touched.
 The rules only tighten as decisions are added, so a successful propagation
 reaches the same fixpoint however its decisions are grouped (chaotic
 iteration of monotone rules, as in AC-3: Mackworth, Artif. Intell. 8, 1977).
@@ -75,15 +77,70 @@ def _int_or_none(value: Fraction) -> int | None:
     return int(value) if value.denominator == 1 else None
 
 
-def _sub(planes: list[int], bits: int) -> None:
-    """Subtract 1 at every set bit of `bits` from a bit-sliced counter."""
-    for b, plane in enumerate(planes):
-        planes[b] = plane ^ bits
-        bits &= ~plane
-        if not bits:
-            return
-    if bits:
-        raise RuntimeError("meet-count ceiling underflow")
+def _planes(pairs, width: int) -> list[int]:
+    """The planes of a bound holding v at the bits of mask, per (mask, v)."""
+    planes = [0] * width
+    for mask, value in pairs:
+        for b in range(value.bit_length()):
+            planes[b] |= mask if value >> b & 1 else 0
+    return planes
+
+
+def _exceeds(x, y, x_bound, y_bound, where: int) -> tuple[int, int, int]:
+    """For counters x and y and bounds of as many planes, by one scan from
+    the top digit: the positions in where with x or y above its bound, and
+    those with x, and with y, at its bound."""
+    over, x_eq, y_eq = 0, where, where
+    for b in range(len(x) - 1, -1, -1):
+        diff = x[b] ^ x_bound[b]
+        over |= x_eq & diff & x[b]
+        x_eq &= ~diff
+        diff = y[b] ^ y_bound[b]
+        over |= y_eq & diff & y[b]
+        y_eq &= ~diff
+        if not (x_eq or y_eq):
+            break  # the lower digits decide nothing more
+    return over, x_eq, y_eq
+
+
+class _Tables:
+    """What the engine reads of a geometry whatever x, built on its first
+    search and kept on its SchemeBundle."""
+
+    def __init__(self, bundle):
+        total = len(bundle.ctx.kspaces)
+        self.rel = bundle.relation_masks()
+        # k-space c's relation rows side by side, rel[i][c] at bit (i-1)N
+        self.wide = [sum(m << i * total for i, m in enumerate(col)) for col in zip(*self.rel[1:])]
+        pivots, free = bundle.incidence_rref()
+        self.pivots, self.pivot_mask = pivots, mask_of(pivots)
+        self.free_mask = mask_of(f for f, _, _ in free)
+        # per free column: bit, L_f, m0_f, p0_f; no count or bound passes their sum
+        cols = [
+            (1 << f, scale, -sum(v for _, v in supp if v < 0), sum(v for _, v in supp if v > 0))
+            for f, scale, supp in free
+        ]
+        width = self.width = max((sum(col[1:]).bit_length() for col in cols), default=0)
+        # the Mup and Pdn bounds up to which 0, and L_f, stay reachable
+        self.zero_bounds = (
+            _planes([(bit, m0) for bit, _, m0, _ in cols], width),
+            _planes([(bit, p0) for bit, _, _, p0 in cols], width),
+        )
+        self.scale_reachable = sum(bit for bit, scale, _, p0 in cols if p0 >= scale)
+        self.scale_bounds = (
+            _planes([(bit, m0 + scale) for bit, scale, m0, _ in cols], width),
+            _planes([(bit, p0 - scale) for bit, scale, _, p0 in cols if p0 >= scale], width),
+        )
+        # per pivot c: the (plane, mask) pairs it adds for its positive and
+        # for its negative coefficients, and the free columns it is in
+        sides = {c: ([], []) for c in pivots}
+        for f, _, supp in free:
+            for c, v in supp:
+                sides[c][v < 0].append((1 << f, abs(v)))
+        self.terms = {}
+        for c, pair in sides.items():
+            pos, neg = ([(b, m) for b, m in enumerate(_planes(side, width)) if m] for side in pair)
+            self.terms[c] = pos, neg, sum(bit for side in pair for bit, _ in side)
 
 
 class _PropagateEngine:
@@ -102,72 +159,52 @@ class _PropagateEngine:
             return
         self.num_rel = p.k + 1
         self.deg = [valence(i, p) for i in range(p.k + 2)]
-        self.t_in = [-1] * (p.k + 2)
-        self.t_out = [-1] * (p.k + 2)
+        # -1 marks a target never met, possible only when that side is empty
+        self.t_in, self.t_out = [-1] * (p.k + 2), [-1] * (p.k + 2)
         for i in range(1, p.k + 2):
-            tin = _int_or_none(meet_count_target(i, p, x, member=True))
-            tout = _int_or_none(meet_count_target(i, p, x, member=False))
-            in_range = [t is not None and 0 <= t <= self.deg[i] for t in (tin, tout)]
-            if self.target > 0 and not in_range[0]:
-                self.reason = (
-                    f"members need exactly {meet_count_target(i, p, x, True)} "
-                    f"meets at relation {i}: impossible"
-                )
-                return
-            if self.target < self.total and not in_range[1]:
-                self.reason = (
-                    f"non-members need exactly {meet_count_target(i, p, x, False)} "
-                    f"meets at relation {i}: impossible"
-                )
-                return
-            # -1 marks a target never met (possible only when the
-            # corresponding side has no columns at completion)
-            self.t_in[i] = tin if in_range[0] else -1
-            self.t_out[i] = tout if in_range[1] else -1
+            for member, targets, needed in (
+                (True, self.t_in, self.target > 0),
+                (False, self.t_out, self.target < self.total),
+            ):
+                want = meet_count_target(i, p, x, member=member)
+                t = _int_or_none(want)
+                if t is not None and 0 <= t <= self.deg[i]:
+                    targets[i] = t
+                elif needed:
+                    side = "members" if member else "non-members"
+                    self.reason = f"{side} need exactly {want} meets at relation {i}: impossible"
+                    return
         bundle = bundle_for(ctx)
-        self.rel = bundle.relation_masks()
-        pivots, free = bundle.incidence_rref()
-        self.pivots = list(pivots)
-        self.pivot_mask = mask_of(pivots)
-        # free columns by position j: column, scale L_f, (pivot, coef) support
-        self.free_cols = [f for f, _, _ in free]
-        self.f_scale = [scale for _, scale, _ in free]
-        self.f_supp = [supp for _, _, supp in free]
-        # per pivot: its terms (j, coef) with coef < 0, with coef > 0, its js
-        self.pivot_terms = {c: ([], [], []) for c in pivots}
-        for j, supp in enumerate(self.f_supp):
-            for pcol, coef in supp:
-                neg, pos, cols = self.pivot_terms[pcol]
-                (neg if coef < 0 else pos).append((j, coef))
-                cols.append(j)
+        if bundle.search_tables is None:
+            bundle.search_tables = _Tables(bundle)
+        self.tables = bundle.search_tables
+        # position (i, c) of T and O is bit (i-1)N + c, and rep * mask copies
+        # an N-bit mask into every relation's block
+        self.rep = sum(1 << i * self.total for i in range(self.num_rel))
+        self.width = max(self.deg[1:]).bit_length()
+        # per side, member and non-member: where its target is met at all,
+        # and the planes of t and of deg_i - t
+        self.bounds = []
+        for t in (self.t_in, self.t_out):
+            met = [(self.full << (i - 1) * self.total, i) for i in range(1, p.k + 2) if t[i] >= 0]
+            t_planes = _planes([(block, t[i]) for block, i in met], self.width)
+            d_planes = _planes([(block, self.deg[i] - t[i]) for block, i in met], self.width)
+            self.bounds.append((sum(block for block, _ in met), (t_planes, d_planes)))
 
     # -- mutable search state ------------------------------------------------
 
     def _init_state(self):
-        full = self.full
-        self.in_mask = self.out_mask = 0
-        self.pend_in = self.pend_out = 0
-        # per relation: bit-sliced tally T_i and ceiling A_i, low digit first
-        self.tally = [[0] * d.bit_length() for d in self.deg]
-        self.ceiling = [
-            [full if d >> b & 1 else 0 for b in range(d.bit_length())]
-            for d in self.deg
-        ]
-        # linear rule of free column j: acc = sum of decided members' coefs;
-        # lo and hi bound what the undecided support can still add
-        self.acc = [0] * len(self.free_cols)
-        self.lo = [sum(c for _, c in supp if c < 0) for supp in self.f_supp]
-        self.hi = [sum(c for _, c in supp if c > 0) for supp in self.f_supp]
+        self.in_mask = self.out_mask = self.pend_in = self.pend_out = 0
+        self.tally_in, self.tally_out = [0] * self.width, [0] * self.width
+        self.rise, self.fall = [0] * self.tables.width, [0] * self.tables.width
 
     def _snapshot(self):
-        tally, ceiling = [t[:] for t in self.tally], [a[:] for a in self.ceiling]
-        return self.in_mask, self.out_mask, tally, ceiling, self.acc[:], self.lo[:], self.hi[:]
+        counters = self.tally_in, self.tally_out, self.rise, self.fall
+        return self.in_mask, self.out_mask, *(planes[:] for planes in counters)
 
     def _restore(self, snap):
-        self.in_mask, self.out_mask, tally, ceiling, acc, lo, hi = snap
-        self.tally = [t[:] for t in tally]
-        self.ceiling = [a[:] for a in ceiling]
-        self.acc, self.lo, self.hi = acc[:], lo[:], hi[:]
+        self.in_mask, self.out_mask = snap[:2]
+        self.tally_in, self.tally_out, self.rise, self.fall = (planes[:] for planes in snap[2:])
         self.pend_in = self.pend_out = 0
 
     # -- constraint propagation ----------------------------------------------
@@ -184,70 +221,60 @@ class _PropagateEngine:
         self.pend_out = outs & ~self.out_mask
         return True
 
-    def _window(self, i: int, t: int, w: int) -> tuple[int, int, int]:
-        """For the k-spaces in w at relation i and target t: (T <= t <= A,
-        T == t < A, T < t == A), by a most-significant-digit-first scan."""
-        if t < 0:
-            return 0, 0, 0
-        t_gt = a_gt = 0
-        t_eq = a_eq = w
-        tally, ceiling = self.tally[i], self.ceiling[i]
-        for b in range(len(tally) - 1, -1, -1):
-            tp, ap = tally[b], ceiling[b]
-            if t >> b & 1:
-                t_eq &= tp
-                a_eq &= ap
-            else:
-                t_gt |= t_eq & tp
-                t_eq &= ~tp
-                a_gt |= a_eq & ap
-                a_eq &= ~ap
-            if not (t_eq or a_eq):
-                break  # the lower digits decide nothing more
-        return (a_gt | a_eq) & ~t_gt, t_eq & ~a_eq, a_eq & ~t_eq
-
-    def _count_rules(self, i: int, w: int, stats: SearchStats) -> bool:
-        """The meet-count rules of relation i on the k-spaces in w."""
-        in_mask, out_mask = self.in_mask, self.out_mask
-        undec = self.full & ~(in_mask | out_mask)
-        # members and undecided k-spaces against the member target,
-        # non-members and undecided ones against the non-member target
-        ok_in, in_hit, in_short = self._window(i, self.t_in[i], w & ~out_mask)
-        ok_out, out_hit, out_short = self._window(i, self.t_out[i], w & ~in_mask)
-        if w & (in_mask & ~ok_in | out_mask & ~ok_out | undec & ~(ok_in | ok_out)):
-            stats.bump("count")
-            return False
-        force_in = ok_in & ~ok_out & undec
-        force_out = ok_out & ~ok_in & undec
-        # a decided k-space whose tally met its target: its undecided
-        # neighbours are out; whose ceiling met it: they are all in
-        force_out |= self._neighbours(i, in_mask & in_hit | out_mask & out_hit) & undec
-        force_in |= self._neighbours(i, in_mask & in_short | out_mask & out_short) & undec
-        return not (force_in or force_out) or self._push(force_in, force_out, stats)
-
-    def _neighbours(self, i: int, sat: int) -> int:
-        """The union of the relation-i neighbourhoods of the k-spaces in sat."""
-        rel, nbs = self.rel[i], 0
-        while sat:
-            low = sat & -sat
-            nbs |= rel[low.bit_length() - 1]
-            sat ^= low
-        return nbs
-
-    def _linear_window(self, j: int, stats: SearchStats) -> bool:
-        """Free column f = free_cols[j] is L_f * chi_f = sum coef * chi_pivot:
-        once the reachable interval excludes 0 (or L_f), f is in (or out)."""
-        bit = 1 << self.free_cols[j]
-        acc, scale = self.acc[j], self.f_scale[j]
-        lo, hi = acc + self.lo[j], acc + self.hi[j]
-        can_out = not self.in_mask & bit and lo <= 0 <= hi
-        can_in = not self.out_mask & bit and lo <= scale <= hi
-        if not can_out and not can_in:
-            stats.bump("linear")
-            return False
-        if can_out and can_in:
+    def _count_rules(self, stats: SearchStats) -> bool:
+        """The meet-count rules at every position (i, c): against its side's
+        target t, a member or non-member needs T <= t and O <= deg_i - t, an
+        undecided k-space one of the two sides; at T == t < deg_i - O its
+        undecided neighbours are out, at T < t == deg_i - O they are in.
+        Each relation's forces are pushed in turn."""
+        in_mask, out_mask, rep, full = self.in_mask, self.out_mask, self.rep, self.full
+        undec = full & ~(in_mask | out_mask)
+        ins, outs, undecided = rep * in_mask, rep * out_mask, rep * undec
+        ok, sat_out, sat_in = [], 0, 0
+        for mine, (valid, bounds) in zip((ins, outs), self.bounds):
+            where = (mine | undecided) & valid
+            over, t_eq, o_eq = _exceeds(self.tally_in, self.tally_out, *bounds, where)
+            ok.append(where & ~over)
+            sat_out |= mine & t_eq & ~o_eq
+            sat_in |= mine & o_eq & ~t_eq
+        ok_in, ok_out = ok
+        bad = ins & ~ok_in | outs & ~ok_out | undecided & ~(ok_in | ok_out)
+        force_in, force_out = ok_in & ~ok_out & undecided, ok_out & ~ok_in & undecided
+        if not (bad or force_in or force_out or sat_out or sat_in):
             return True
-        return self._push(bit, 0, stats) if can_in else self._push(0, bit, stats)
+        for i, rel in enumerate(self.tables.rel[1:]):
+            at = i * self.total
+            if bad >> at & full:
+                stats.bump("count")
+                return False
+            f_in, f_out = force_in >> at & full, force_out >> at & full
+            for c in ids_of(sat_out >> at & full):
+                f_out |= rel[c]
+            for c in ids_of(sat_in >> at & full):
+                f_in |= rel[c]
+            if (f_in | f_out) & undec and not self._push(f_in & undec, f_out & undec, stats):
+                return False
+        return True
+
+    def _linear_rule(self, cols: int, stats: SearchStats) -> bool:
+        """Free column f is L_f * chi_f = sum coef * chi_pivot: it can be out
+        while 0 is reachable, in while L_f is.  A wave with a column that can
+        be neither and one whose force conflicts is labelled by the lower."""
+        tb, rise, fall = self.tables, self.rise, self.fall
+        zero = cols & ~_exceeds(rise, fall, *tb.zero_bounds, cols)[0]
+        where = cols & tb.scale_reachable
+        scale = where & ~_exceeds(rise, fall, *tb.scale_bounds, where)[0]
+        can_out, can_in = zero & ~self.in_mask, scale & ~self.out_mask
+        force_in, force_out = can_in & ~can_out, can_out & ~can_in
+        bad = cols & ~(can_in | can_out)
+        clash = force_in & self.pend_out | force_out & self.pend_in
+        if bad or clash:
+            first = (bad | clash) & -(bad | clash)
+            stats.bump("linear" if first & bad else "conflict")
+            return False
+        self.pend_in |= force_in & ~self.in_mask
+        self.pend_out |= force_out & ~self.out_mask
+        return True
 
     def _wave(self, stats: SearchStats) -> bool:
         """Decide every pending k-space at once, then check each rule once on
@@ -256,40 +283,24 @@ class _PropagateEngine:
         self.pend_in = self.pend_out = 0
         self.in_mask |= new_in
         self.out_mask |= new_out
-        n_in, n_out = self.in_mask.bit_count(), self.out_mask.bit_count()
-        if not n_in <= self.target <= self.total - n_out:
+        if not self.in_mask.bit_count() <= self.target <= self.total - self.out_mask.bit_count():
             stats.bump("size")
             return False
-        wave = new_in | new_out
-        ins, outs = ids_of(new_in), ids_of(new_out)
-        for i in range(1, self.num_rel + 1):
-            rel, w = self.rel[i], wave
-            for c in ins:
-                _add(self.tally[i], rel[c])
-                w |= rel[c]
-            for c in outs:
-                _sub(self.ceiling[i], rel[c])
-                w |= rel[c]
-            if not self._count_rules(i, w, stats):
-                return False
-        touched = set()
-        acc, lo, hi, scale = self.acc, self.lo, self.hi, self.f_scale
-        for c in ids_of(wave & self.pivot_mask):
-            neg, pos, cols = self.pivot_terms[c]
-            if new_in >> c & 1:
-                for j, coef in neg + pos:
-                    acc[j] += coef
-            for j, coef in neg:
-                lo[j] -= coef
-            for j, coef in pos:
-                hi[j] -= coef
-            touched.update(cols)
-        # a reachable interval still holding both 0 and L_f >= 1 decides nothing
-        return all(
-            self._linear_window(j, stats)
-            for j in touched
-            if acc[j] + lo[j] > 0 or acc[j] + hi[j] < scale[j]
-        )
+        tb, cols = self.tables, 0
+        for c in ids_of(new_in):
+            _add(self.tally_in, tb.wide[c])
+        for c in ids_of(new_out):
+            _add(self.tally_out, tb.wide[c])
+        for c in ids_of((new_in | new_out) & tb.pivot_mask):
+            # a pivot in adds its positive terms to Mup, its negative ones to Pdn
+            pos, neg, touched = tb.terms[c]
+            up, down = (pos, neg) if new_in >> c & 1 else (neg, pos)
+            for b, mask in up:
+                _add(self.rise, mask, b)
+            for b, mask in down:
+                _add(self.fall, mask, b)
+            cols |= touched
+        return self._count_rules(stats) and (not cols or self._linear_rule(cols, stats))
 
     def _apply(self, ins: int, outs: int, stats: SearchStats) -> bool:
         """Decide the k-spaces in ins and outs, then everything pending, in
@@ -306,9 +317,9 @@ class _PropagateEngine:
     # -- driver ---------------------------------------------------------------
 
     def _next_pivot(self, start: int) -> int | None:
-        decided = self.in_mask | self.out_mask
-        for idx in range(start, len(self.pivots)):
-            if not decided >> self.pivots[idx] & 1:
+        decided, pivots = self.in_mask | self.out_mask, self.tables.pivots
+        for idx in range(start, len(pivots)):
+            if not decided >> pivots[idx] & 1:
                 return idx
         return None
 
@@ -327,11 +338,11 @@ class _PropagateEngine:
             # propagation forces every remaining free coordinate
             self._leaf(out, stats)
             return
-        c = self.pivots[idx]
+        c = self.tables.pivots[idx]
         stats.nodes += 1
         bit = 1 << c
+        snap = self._snapshot()
         for ins, outs in ((bit, 0), (0, bit)):
-            snap = self._snapshot()
             if self._apply(ins, outs, stats):
                 self._dfs(idx + 1, out, stats)
             self._restore(snap)
@@ -341,11 +352,8 @@ class _PropagateEngine:
         fixpoint too), then the decisions ins and outs."""
         self._init_state()
         return (
-            all(self._linear_window(j, stats) for j in range(len(self.free_cols)))
-            and all(
-                self._count_rules(i, self.full, stats)
-                for i in range(1, self.num_rel + 1)
-            )
+            self._linear_rule(self.tables.free_mask, stats)
+            and self._count_rules(stats)
             and self._apply(ins, outs, stats)
         )
 
@@ -362,7 +370,7 @@ class _PropagateEngine:
     def root_prefixes(self, width: int) -> list[tuple[int, int]]:
         """(ins, outs) assignments of the first few pivots, for tree partitioning."""
         prefixes = [(0, 0)]
-        for pcol in self.pivots[:8]:
+        for pcol in self.tables.pivots[:8]:
             if len(prefixes) >= width:
                 break
             bit = 1 << pcol
@@ -436,6 +444,7 @@ class WindowRow:
     reason: str | None
     within_bound: bool | None
     skew_audit: object
+    stats: SearchStats
 
 
 def nonexistence_window(ctx: GeometryCtx, lo, hi, threads: int = 1) -> list[WindowRow]:
@@ -452,22 +461,13 @@ def nonexistence_window(ctx: GeometryCtx, lo, hi, threads: int = 1) -> list[Wind
     while Fraction(s, base) < hi:
         x = Fraction(s, base)
         result = search_all(ctx, x, threads)
-        bound = None
-        if p.n >= 3 * p.k + 2:
-            bound = within_classification_bound(p, x)
+        bound = within_classification_bound(p, x) if p.n >= 3 * p.k + 2 else None
         audit = None
         if p.n > 2 * p.k + 1:
             c = int(x) if x.denominator == 1 else int(x) + 1
             audit = excludes_skew_subfamily(c, p, x)
         rows.append(
-            WindowRow(
-                x=x,
-                size=s,
-                families=len(result.families),
-                reason=result.reason,
-                within_bound=bound,
-                skew_audit=audit,
-            )
+            WindowRow(x, s, len(result.families), result.reason, bound, audit, result.stats)
         )
         s += 1
     if not rows:

@@ -394,6 +394,24 @@ class TestIntegerChecksMatchOracles:
             names -= {"disjointness-counts", "kneser-eigenvector", "eigenspace-split"}
         assert {(name, v) for name in names for v in (Verdict.PASS, Verdict.FAIL)} <= verdicts
 
+    @pytest.mark.parametrize("n,k,q", [(3, 1, 3), (3, 1, 4), (5, 1, 2)])
+    def test_residual_on_bitmask_matches_vector_scan(self, n, k, q):
+        """The battery reads first_residual off the family bitmask, through
+        the supports grouped by coefficient; it names the same (position,
+        column) as the scan of the 0/1 vector, None included."""
+        from clkset.families import _first_residual
+        from clkset.linalg import first_residual
+
+        ctx = geometry(n, k, q)
+        bundle = bundle_for(ctx)
+        free = bundle.incidence_rref()[1]
+        misses = set()
+        for cand in _oracle_roster(ctx, random.Random(q)):
+            miss = _first_residual(cand, bundle)
+            assert miss == first_residual(free, cand.vector())
+            misses.add(miss is None)
+        assert misses == {True, False}
+
     def test_non_integral_targets_miss_at_first_kspace(self, pg32, pg32_bundle):
         # x = 8/7: the targets are not integers, so the first k-space is the
         # witness and its Fraction target is printed as it was computed

@@ -616,7 +616,7 @@ class TestCLI:
         assert data["wall_seconds"] > 0
 
     def test_search_json_window(self, tmp_path, capsys):
-        from clkset import nonexistence_window
+        from clkset import nonexistence_window, search_all
 
         code = main(
             ["search", "--n", "4", "--q", "2", "--k", "1", "--window", "0", "1",
@@ -638,6 +638,11 @@ class TestCLI:
                 "lhs": str(row.skew_audit.lhs),
                 "rhs": str(row.skew_audit.rhs),
             }
+            # each row ends with its search's statistics
+            stats = search_all(geometry(4, 1, 2), row.x).stats
+            assert list(got)[-4:] == ["nodes", "forced", "leaves", "prunes"]
+            for key in ("nodes", "forced", "leaves", "prunes"):
+                assert got[key] == getattr(stats, key)
 
     def test_search_refuses_zero_threads(self, capsys):
         assert main(

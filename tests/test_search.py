@@ -248,19 +248,25 @@ def _within(lo, t, hi):
     return t >= 0 and lo <= t <= hi
 
 
-def _check_fixpoint(eng):
+def _check_fixpoint(eng, ctx):
     """Recompute every counter and rule from the two masks alone: the
     counters must match, and no rule may fail or force an undecided k-space."""
+    from clkset.scheme import bundle_for
+
     ins, outs = eng.in_mask, eng.out_mask
     assert ins & outs == 0
     assert eng.pend_in == eng.pend_out == 0
     assert ins.bit_count() <= eng.target <= eng.total - outs.bit_count()
+    # T and O: position (i, m) is bit (i-1)N + m, and nothing lies beyond
+    positions = eng.num_rel * eng.total
+    assert not any(plane >> positions for plane in eng.tally_in + eng.tally_out)
     for i in range(1, eng.num_rel + 1):
-        for m, nbs in enumerate(eng.rel[i]):
+        for m, nbs in enumerate(eng.tables.rel[i]):
             t = (nbs & ins).bit_count()
-            a = eng.deg[i] - (nbs & outs).bit_count()
-            assert _decode(eng.tally[i], m) == t
-            assert _decode(eng.ceiling[i], m) == a
+            o = (nbs & outs).bit_count()
+            assert _decode(eng.tally_in, (i - 1) * eng.total + m) == t
+            assert _decode(eng.tally_out, (i - 1) * eng.total + m) == o
+            a = eng.deg[i] - o
             ok_in = _within(t, eng.t_in[i], a)
             ok_out = _within(t, eng.t_out[i], a)
             if ins >> m & 1 or outs >> m & 1:
@@ -269,16 +275,24 @@ def _check_fixpoint(eng):
                 assert t == a or tgt not in (t, a)  # saturation spent
             else:
                 assert ok_in and ok_out
-    for j, f in enumerate(eng.free_cols):
+    # Mup and Pdn: at each free column's bit, the least reachable value of
+    # sum coef * chi_pivot less its start -m0, and p0 less the greatest
+    free = bundle_for(ctx).incidence_rref()[1]
+    free_mask = sum(1 << f for f, _, _ in free)
+    assert not any(plane & ~free_mask for plane in eng.rise + eng.fall)
+    for f, scale, supp in free:
         acc = lo = hi = 0
-        for pcol, coef in eng.f_supp[j]:
+        for pcol, coef in supp:
             if ins >> pcol & 1:
                 acc += coef
             elif not outs >> pcol & 1:
                 lo, hi = lo + min(coef, 0), hi + max(coef, 0)
-        assert eng.acc[j] == acc
+        m0 = sum(-coef for _, coef in supp if coef < 0)
+        p0 = sum(coef for _, coef in supp if coef > 0)
+        assert _decode(eng.rise, f) == acc + lo + m0
+        assert _decode(eng.fall, f) == p0 - (acc + hi)
         can_out = not ins >> f & 1 and acc + lo <= 0 <= acc + hi
-        can_in = not outs >> f & 1 and acc + lo <= eng.f_scale[j] <= acc + hi
+        can_in = not outs >> f & 1 and acc + lo <= scale <= acc + hi
         assert can_out or can_in
         if not (ins | outs) >> f & 1:
             assert can_out and can_in
@@ -300,7 +314,7 @@ class TestBitSlicedEngine:
         for seed in range(6):
             rng = random.Random(seed)
             assert eng._start(0, 0, stats)
-            _check_fixpoint(eng)
+            _check_fixpoint(eng, ctx)
             while eng.in_mask | eng.out_mask != eng.full:
                 undecided = [
                     c for c in range(eng.total) if not (eng.in_mask | eng.out_mask) >> c & 1
@@ -310,7 +324,7 @@ class TestBitSlicedEngine:
                 snap = eng._snapshot()
                 for ins in (first, not first):
                     if eng._apply(bit if ins else 0, 0 if ins else bit, stats):
-                        _check_fixpoint(eng)
+                        _check_fixpoint(eng, ctx)
                         checked += 1
                         break
                     eng._restore(snap)
@@ -327,17 +341,26 @@ class TestBitSlicedEngine:
             eng._leaf([], SearchStats())
 
     def test_tampered_counters_raise(self, pg32):
+        """Each of the four counters raises once an add carries out of its
+        top plane; nothing subtracts, so there is no underflow to catch."""
+        from clkset.scheme import bundle_for
         from clkset.search import SearchStats
 
         eng = _engine(pg32, 1)
-        eng._init_state()
-        eng.tally[1] = [eng.full] * len(eng.tally[1])
-        with pytest.raises(RuntimeError, match="overflow"):
-            eng._apply(1, 0, SearchStats())
-        eng._init_state()
-        eng.ceiling[2] = [0] * len(eng.ceiling[2])
-        with pytest.raises(RuntimeError, match="underflow"):
-            eng._apply(0, 1, SearchStats())
+        # a pivot with a positive coefficient: in, it adds to Mup; out, to Pdn
+        free = bundle_for(pg32).incidence_rref()[1]
+        c = next(pcol for _, _, supp in free for pcol, coef in supp if coef > 0)
+        wide_full = (1 << eng.num_rel * eng.total) - 1
+        for name, ins, outs, full in [
+            ("tally_in", 1, 0, wide_full),
+            ("tally_out", 0, 1, wide_full),
+            ("rise", 1 << c, 0, eng.full),
+            ("fall", 0, 1 << c, eng.full),
+        ]:
+            eng._init_state()
+            setattr(eng, name, [full] * len(getattr(eng, name)))
+            with pytest.raises(RuntimeError, match="overflow"):
+                eng._apply(ins, outs, SearchStats())
 
     def test_every_subset_of_pg23_lines_against_reference(self):
         # in PG(2,3) every set of lines is a family: 2^13 at sizes 0..13
@@ -376,6 +399,27 @@ class TestBitSlicedEngine:
         assert hashlib.sha256(repr(result.families).encode()).hexdigest() == digest
 
 
+# (forced, leaves, prunes in order) per search of TestWavePropagation
+OBSERVED = {
+    (4, 1, 2, Fraction(4, 3)): (
+        34640, 0, [("count", 227), ("conflict", 158), ("size", 176), ("linear", 272)]
+    ),
+    (4, 1, 2, Fraction(5, 3)): (
+        62202, 0, [("conflict", 833), ("count", 793), ("linear", 1172), ("size", 118)]
+    ),
+    (3, 1, 3, 1): (6749, 80, [("count", 71), ("linear", 68), ("conflict", 7)]),
+    (4, 1, 2, 1): (4406, 31, [("count", 14), ("conflict", 7), ("linear", 2), ("size", 6)]),
+    (3, 1, 2, 2): (
+        13986, 120, [("count", 382), ("conflict", 375), ("size", 185), ("linear", 574)]
+    ),
+    (4, 2, 2, Fraction(3, 7)): (
+        4100, 31, [("count", 18), ("conflict", 9), ("linear", 7), ("size", 2)]
+    ),
+    (3, 1, 4, 1): (36446, 170, [("count", 192), ("linear", 285), ("conflict", 12), ("size", 1)]),
+    (5, 1, 2, 1): (34849, 63, [("count", 12), ("conflict", 8), ("linear", 2), ("size", 8)]),
+}
+
+
 class TestWavePropagation:
     @pytest.mark.parametrize(
         "n,k,q,x,nodes,count",
@@ -387,26 +431,36 @@ class TestWavePropagation:
             (3, 1, 2, 2, 1635, 120),
             (4, 2, 2, Fraction(3, 7), 66, 31),
             (3, 1, 4, 1, 659, 170),
+            (5, 1, 2, 1, 92, 63),
         ],
     )
     def test_nodes_match_per_decision_engine(self, n, k, q, x, nodes, count):
         """Node counts of the earlier engine, which decided one pending
         k-space at a time: every successful propagation reaches the same
-        fixpoint, so the search tree is the same."""
+        fixpoint, so the search tree is the same.  The forced, leaf and prune
+        counts, prune keys in order, are those of the engine that kept one
+        tally and one ceiling per relation."""
         fams, stats = _engine(geometry(n, k, q), x).solve()
         assert (stats.nodes, len(fams)) == (nodes, count)
+        forced, leaves, prunes = OBSERVED[n, k, q, x]
+        assert (stats.forced, stats.leaves, list(stats.prunes.items())) == (
+            forced,
+            leaves,
+            prunes,
+        )
 
     @pytest.mark.parametrize("n,k,q,x", [(4, 1, 2, Fraction(4, 3)), (3, 1, 2, 2)])
     def test_restore_after_failed_wave(self, n, k, q, x):
         """A propagation that fails after some waves has moved the masks,
-        the counter planes and the linear accumulators; _restore puts every
-        one of them back to the snapshot, which stays a fixpoint."""
+        both tallies and the linear counters; _restore puts every one of
+        them back to the snapshot, which stays a fixpoint."""
         import random
 
         from clkset.geometry import ids_of
         from clkset.search import SearchStats
 
-        eng = _engine(geometry(n, k, q), x)
+        ctx = geometry(n, k, q)
+        eng = _engine(ctx, x)
         stats = SearchStats()
         moved = 0
         for seed in range(8):
@@ -419,12 +473,12 @@ class TestWavePropagation:
                     if eng._apply(1 << c if ins else 0, 0 if ins else 1 << c, stats):
                         break
                     changed = [a != b for a, b in zip(eng._snapshot(), snap)]
-                    # both masks, both counters and the linear rule moved
-                    moved += all(changed[:4]) and any(changed[4:])
+                    # both masks, T, O, Mup and Pdn moved
+                    moved += all(changed)
                     eng._restore(snap)
                     assert eng._snapshot() == snap
                     assert eng.pend_in == eng.pend_out == 0
-                    _check_fixpoint(eng)
+                    _check_fixpoint(eng, ctx)
                 else:
                     break  # both values fail: a dead end
         assert moved >= 5
