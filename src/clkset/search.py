@@ -11,6 +11,11 @@ exact meet-count targets per relation, which prune and force.  Both rule
 families are implied by membership, so the search returns exactly the
 families whose battery passes, each battery-verified before it is reported.
 
+It branches fail first: next on the undecided pivot with the fewest
+undecided relation-1 neighbours, the lowest id on a tie.  Both values of
+every chosen pivot are explored and a leaf has every pivot decided, so the
+rule moves the node, forced and prune counts but never the families.
+
 The state is two N-bit masks, members and non-members, and four bit-sliced
 counters (Knuth, TAOCP 4A, 7.1.3) that only add, through `geometry._add`;
 a scan from the top digit compares one with per-position bounds.
@@ -35,6 +40,7 @@ The test suite checks the engine against a pruning-free subset enumeration.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -316,12 +322,17 @@ class _PropagateEngine:
 
     # -- driver ---------------------------------------------------------------
 
-    def _next_pivot(self, start: int) -> int | None:
-        decided, pivots = self.in_mask | self.out_mask, self.tables.pivots
-        for idx in range(start, len(pivots)):
-            if not decided >> pivots[idx] & 1:
-                return idx
-        return None
+    def _next_pivot(self) -> int | None:
+        """Fail first (Haralick and Elliott, Artif. Intell. 14, 1980): the
+        undecided pivot with the fewest undecided relation-1 neighbours, the
+        lowest id on a tie; None once every pivot is decided."""
+        undecided = self.full & ~(self.in_mask | self.out_mask)
+        near = self.tables.rel[1]
+        return min(
+            ids_of(self.tables.pivot_mask & undecided),
+            key=lambda c: (near[c] & undecided).bit_count(),
+            default=None,
+        )
 
     def _leaf(self, out: list, stats: SearchStats) -> None:
         stats.leaves += 1
@@ -332,19 +343,18 @@ class _PropagateEngine:
             return
         out.append(ids_of(self.in_mask))
 
-    def _dfs(self, start: int, out: list, stats: SearchStats) -> None:
-        idx = self._next_pivot(start)
-        if idx is None:
+    def _dfs(self, out: list, stats: SearchStats) -> None:
+        c = self._next_pivot()
+        if c is None:
             # propagation forces every remaining free coordinate
             self._leaf(out, stats)
             return
-        c = self.tables.pivots[idx]
         stats.nodes += 1
         bit = 1 << c
         snap = self._snapshot()
         for ins, outs in ((bit, 0), (0, bit)):
             if self._apply(ins, outs, stats):
-                self._dfs(idx + 1, out, stats)
+                self._dfs(out, stats)
             self._restore(snap)
 
     def _start(self, ins: int, outs: int, stats: SearchStats) -> bool:
@@ -364,7 +374,7 @@ class _PropagateEngine:
             return [], stats
         out: list[tuple[int, ...]] = []
         if self._start(ins, outs, stats):
-            self._dfs(0, out, stats)
+            self._dfs(out, stats)
         return out, stats
 
     def root_prefixes(self, width: int) -> list[tuple[int, int]]:
@@ -448,30 +458,35 @@ class WindowRow:
 
 
 def nonexistence_window(ctx: GeometryCtx, lo, hi, threads: int = 1) -> list[WindowRow]:
-    """Search every admissible parameter strictly inside (lo, hi) and report
-    the outcomes together with the closed-form bound verdicts; a window
-    holding no admissible parameter is refused."""
+    """Search every admissible parameter s/base strictly inside (lo, hi) and
+    report the outcomes together with the closed-form bound verdicts; a
+    window holding no such parameter, or more of them than the N + 1 family
+    sizes, is refused before anything is searched."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError(f"empty window ({lo}, {hi}): need lo < hi")
     p = ctx.params
     base = qbinom(p.n, p.k, p.q)
+    first, stop = math.floor(lo * base) + 1, math.ceil(hi * base)
+    if stop <= first:
+        raise ValueError(f"no parameter s/{base} lies strictly inside ({lo}, {hi})")
+    sizes = len(ctx.kspaces) + 1
+    if stop - first > sizes:
+        raise ValueError(
+            f"window ({lo}, {hi}) holds {stop - first} parameters s/{base}, "
+            f"more than the {sizes} family sizes"
+        )
     rows = []
-    s = int(lo * base) + 1
-    while Fraction(s, base) < hi:
+    for s in range(first, stop):
         x = Fraction(s, base)
         result = search_all(ctx, x, threads)
         bound = within_classification_bound(p, x) if p.n >= 3 * p.k + 2 else None
         audit = None
         if p.n > 2 * p.k + 1:
-            c = int(x) if x.denominator == 1 else int(x) + 1
-            audit = excludes_skew_subfamily(c, p, x)
+            audit = excludes_skew_subfamily(math.ceil(x), p, x)
         rows.append(
             WindowRow(x, s, len(result.families), result.reason, bound, audit, result.stats)
         )
-        s += 1
-    if not rows:
-        raise ValueError(f"no parameter s/{base} lies strictly inside ({lo}, {hi})")
     return rows
 
 

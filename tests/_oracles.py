@@ -24,6 +24,7 @@ from clkset.scheme import (
     incidence_rows,
     q_disjoint_coefficient,
 )
+from clkset.search import _PropagateEngine
 
 
 def count_subspaces_bruteforce(a: int, b: int, q: int) -> int:
@@ -169,6 +170,33 @@ def reference_families(ctx: GeometryCtx, x, fix_in=(), fix_out=()):
 
     rec(0, 0)
     return tuple(sorted(found))
+
+
+class IndexOrderEngine(_PropagateEngine):
+    """The search engine branching on the pivots in column order, as it did
+    before it went fail first: the same propagation, so the same families,
+    over another tree.  The node, forced and prune counts pinned on it are
+    those of the earlier engines."""
+
+    def _next_pivot(self, start: int = 0) -> int | None:
+        decided, pivots = self.in_mask | self.out_mask, self.tables.pivots
+        for idx in range(start, len(pivots)):
+            if not decided >> pivots[idx] & 1:
+                return idx
+        return None
+
+    def _dfs(self, out: list, stats, start: int = 0) -> None:
+        idx = self._next_pivot(start)
+        if idx is None:
+            self._leaf(out, stats)
+            return
+        stats.nodes += 1
+        bit = 1 << self.tables.pivots[idx]
+        snap = self._snapshot()
+        for ins, outs in ((bit, 0), (0, bit)):
+            if self._apply(ins, outs, stats):
+                self._dfs(out, stats, idx + 1)
+            self._restore(snap)
 
 
 def coordinate_permutation_images(ctx: GeometryCtx, ids) -> set[tuple[int, ...]]:

@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from _oracles import IndexOrderEngine
 
 from clkset import SchemeBundle, family, geometry, point_pencil_family
 from clkset.cli import main
@@ -266,7 +267,8 @@ class TestDiskCache:
 
 # summary.txt of three searches, byte for byte: window rows with and without
 # reason= and with the skew audit, and the worker stats merged under --threads
-# with the prune keys in first-seen order
+# with the prune keys in first-seen order (on the index-order oracle, and on
+# the engine, which branches fail first)
 WINDOW_PG42_1_2 = (
     'x=16/15 size=16 families=0 reason=members need exactly 71/5 meets at relation 1: impossible'
     ' skew_exclusion(holds=True, lhs=152/5, rhs=16)\n'
@@ -324,6 +326,10 @@ WINDOW_PG32_0_3 = (
 X_PG32_2_THREADS_2 = (
     'x=2 families=120\n'
     "nodes=1632 prunes={'count': 382, 'conflict': 375, 'size': 185, 'linear': 574}\n"
+)
+X_PG32_2_THREADS_2_FAIL_FIRST = (
+    'x=2 families=120\n'
+    "nodes=1408 prunes={'count': 223, 'conflict': 240, 'size': 168, 'linear': 661}\n"
 )
 
 
@@ -576,14 +582,44 @@ class TestCLI:
         assert "0 families" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv,stdout,summary",
+        "argv,stdout,summary,oracle",
         [
-            (["--n", "4", "--window", "1", "2"], "0 families\n", WINDOW_PG42_1_2),
-            (["--n", "3", "--window", "0", "3"], "150 families\n", WINDOW_PG32_0_3),
-            (["--n", "3", "--x", "2", "--threads", "2"], "120 families\n", X_PG32_2_THREADS_2),
+            (["--n", "4", "--window", "1", "2"], "0 families\n", WINDOW_PG42_1_2, False),
+            (["--n", "3", "--window", "0", "3"], "150 families\n", WINDOW_PG32_0_3, False),
+            (["--n", "3", "--x", "2", "--threads", "2"], "120 families\n", X_PG32_2_THREADS_2, True),
+            (
+                ["--n", "3", "--x", "2", "--threads", "2"],
+                "120 families\n",
+                X_PG32_2_THREADS_2_FAIL_FIRST,
+                False,
+            ),
         ],
     )
-    def test_search_summary_bytes(self, tmp_path, capsys, argv, stdout, summary):
+    def test_search_summary_bytes(
+        self, tmp_path, capsys, monkeypatch, argv, stdout, summary, oracle
+    ):
+        """With oracle, the index-order engine searches each root prefix in
+        this process, through a stand-in pool."""
+        if oracle:
+            import concurrent.futures
+
+            import clkset.search
+
+            class InProcessPool:
+                def __init__(self, max_workers):
+                    pass
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                def map(self, fn, jobs):
+                    return map(fn, jobs)
+
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+            monkeypatch.setattr(clkset.search, "_PropagateEngine", IndexOrderEngine)
         out_dir = tmp_path / "out"
         code = main(
             ["search", "--q", "2", "--k", "1", *argv, "--out", str(out_dir),
@@ -739,6 +775,19 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: no parameter s/7")
+
+    def test_search_refuses_window_wider_than_the_family_sizes(self, tmp_path, capsys):
+        code = main(
+            ["search", "--n", "3", "--q", "2", "--k", "1", "--window", "0", "1000000000",
+             "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: window (0, 1000000000) holds 6999999999 parameters s/7, "
+            "more than the 36 family sizes\n"
+        )
 
     def test_search_x_and_window_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,8 @@
+import functools
 from fractions import Fraction
 
 import pytest
-from _oracles import reference_families
+from _oracles import IndexOrderEngine, reference_families
 
 from clkset import (
     family,
@@ -79,10 +80,12 @@ class TestSearchPG32:
         assert ref == fast
         assert len(ref) > 0
 
-    def test_threads_preserve_results(self, pg32):
-        plain = search_all(pg32, 1)
-        threaded = search_all(pg32, 1, threads=2)
-        assert plain.families == threaded.families
+    def test_threads_preserve_results(self, pg32, pg42):
+        # each worker goes fail first inside its root prefix
+        for ctx, x in ((pg32, 1), (pg32, 2), (pg42, 1)):
+            plain = search_all(ctx, x)
+            threaded = search_all(ctx, x, threads=2)
+            assert plain.families == threaded.families
 
     def test_threads_below_one_refused(self, pg32):
         for threads in (0, -1):
@@ -139,6 +142,24 @@ class TestSearchPG32:
             with pytest.raises(ValueError, match="no parameter s/7"):
                 nonexistence_window(pg32, lo, hi)
         assert len(nonexistence_window(pg32, Fraction(1, 7), Fraction(3, 7))) == 1
+
+    def test_window_below_zero_starts_at_its_first_parameter(self, pg32):
+        rows = nonexistence_window(pg32, Fraction(-1, 2), Fraction(1, 2))
+        assert [row.x for row in rows] == [Fraction(s, 7) for s in range(-3, 4)]
+        assert [row.families for row in rows] == [0, 0, 0, 1, 0, 0, 0]
+        (zero,) = nonexistence_window(pg32, Fraction(-1, 14), Fraction(1, 14))
+        assert (zero.x, zero.size, zero.families) == (0, 0, 1)
+
+    def test_window_wider_than_the_family_sizes_refused(self, pg32):
+        """A window holding more parameters s/base than there are family
+        sizes 0..N is refused before anything is searched: PG(2,2) lines
+        have 8 sizes and base 3, PG(3,2) lines 36 sizes and base 7."""
+        pg22 = geometry(2, 1, 2)
+        assert len(nonexistence_window(pg22, Fraction(-1, 6), Fraction(5, 2))) == 8
+        with pytest.raises(ValueError, match="9 parameters s/3, more than the 8 family sizes"):
+            nonexistence_window(pg22, Fraction(-1, 2), Fraction(5, 2))
+        with pytest.raises(ValueError, match="more than the 36 family sizes"):
+            nonexistence_window(pg32, 0, 10**9)
 
     def test_battery_failure_raises(self, pg32, monkeypatch):
         import clkset.search
@@ -296,6 +317,16 @@ def _check_fixpoint(eng, ctx):
         assert can_out or can_in
         if not (ins | outs) >> f & 1:
             assert can_out and can_in
+    # fail first: the undecided pivot with the fewest undecided relation-1
+    # neighbours, the lowest id on a tie
+    undecided = [c for c in range(eng.total) if not (ins | outs) >> c & 1]
+    near = eng.tables.rel[1]
+    choices = sorted(
+        (sum(near[c] >> d & 1 for d in undecided), c)
+        for c in eng.tables.pivots
+        if c in undecided
+    )
+    assert eng._next_pivot() == (choices[0][1] if choices else None)
 
 
 class TestBitSlicedEngine:
@@ -331,6 +362,30 @@ class TestBitSlicedEngine:
                 else:
                     break  # both values fail: a dead end
         assert checked >= 12
+
+    @pytest.mark.parametrize("n,k,q,x", [(3, 1, 2, 2), (4, 2, 2, Fraction(3, 7))])
+    def test_fixpoints_toward_a_family(self, n, k, q, x):
+        """Deciding a family's pivots in random order passes only through
+        reachable fixpoints, each checked with the branching rule, and ends
+        with every k-space decided and no pivot left to branch on."""
+        import random
+
+        from clkset.geometry import mask_of
+        from clkset.search import SearchStats
+
+        ctx = geometry(n, k, q)
+        eng = _engine(ctx, x)
+        stats = SearchStats()
+        rng = random.Random(1)
+        for fam in rng.sample(search_all(ctx, x).families, 3):
+            mask = mask_of(fam)
+            assert eng._start(0, 0, stats)
+            for c in rng.sample(eng.tables.pivots, len(eng.tables.pivots)):
+                bit = 1 << c
+                assert eng._apply(bit & mask, bit & ~mask, stats)
+                _check_fixpoint(eng, ctx)
+            assert (eng.in_mask, eng.out_mask) == (mask, eng.full & ~mask)
+            assert eng._next_pivot() is None
 
     def test_leaf_with_undecided_coordinates_raises(self, pg32):
         from clkset.search import SearchStats
@@ -399,7 +454,7 @@ class TestBitSlicedEngine:
         assert hashlib.sha256(repr(result.families).encode()).hexdigest() == digest
 
 
-# (forced, leaves, prunes in order) per search of TestWavePropagation
+# (forced, leaves, prunes in order) per search of the index-order engine
 OBSERVED = {
     (4, 1, 2, Fraction(4, 3)): (
         34640, 0, [("count", 227), ("conflict", 158), ("size", 176), ("linear", 272)]
@@ -419,6 +474,39 @@ OBSERVED = {
     (5, 1, 2, 1): (34849, 63, [("count", 12), ("conflict", 8), ("linear", 2), ("size", 8)]),
 }
 
+# (nodes, forced, leaves, prunes in order) per search of the engine, which
+# branches fail first
+FAIL_FIRST = {
+    (4, 1, 2, Fraction(4, 3)): (
+        586, 22404, 0, [("count", 145), ("conflict", 122), ("size", 83), ("linear", 237)]
+    ),
+    (4, 1, 2, Fraction(5, 3)): (
+        1420, 30918, 0, [("count", 245), ("conflict", 356), ("linear", 719), ("size", 101)]
+    ),
+    (3, 1, 3, 1): (220, 6611, 80, [("count", 58), ("linear", 70), ("conflict", 12), ("size", 1)]),
+    (4, 1, 2, 1): (59, 4427, 31, [("count", 14), ("conflict", 7), ("linear", 2), ("size", 6)]),
+    (3, 1, 2, 2): (
+        1411, 10914, 120, [("count", 223), ("conflict", 240), ("size", 168), ("linear", 661)]
+    ),
+    (4, 2, 2, Fraction(3, 7)): (
+        66, 4083, 31, [("count", 18), ("conflict", 9), ("linear", 7), ("size", 2)]
+    ),
+    (3, 1, 4, 1): (633, 37955, 170, [("count", 189), ("linear", 258), ("conflict", 17)]),
+    (5, 1, 2, 1): (92, 35101, 63, [("count", 12), ("conflict", 8), ("linear", 2), ("size", 8)]),
+    (4, 1, 2, 2): (
+        3026, 59256, 0, [("size", 243), ("linear", 1975), ("count", 394), ("conflict", 415)]
+    ),
+    (4, 1, 2, Fraction(7, 3)): (
+        5279, 90648, 31, [("conflict", 871), ("count", 431), ("size", 469), ("linear", 3478)]
+    ),
+}
+
+
+@functools.cache
+def _index_order(n, k, q, x):
+    """(families, stats) of the index-order oracle, run once per search."""
+    return IndexOrderEngine(geometry(n, k, q), Fraction(x)).solve()
+
 
 class TestWavePropagation:
     @pytest.mark.parametrize(
@@ -436,11 +524,11 @@ class TestWavePropagation:
     )
     def test_nodes_match_per_decision_engine(self, n, k, q, x, nodes, count):
         """Node counts of the earlier engine, which decided one pending
-        k-space at a time: every successful propagation reaches the same
-        fixpoint, so the search tree is the same.  The forced, leaf and prune
-        counts, prune keys in order, are those of the engine that kept one
-        tally and one ceiling per relation."""
-        fams, stats = _engine(geometry(n, k, q), x).solve()
+        k-space at a time, on the index-order oracle: every successful
+        propagation reaches the same fixpoint, so the search tree is the
+        same.  The forced, leaf and prune counts, prune keys in order, are
+        those of the engine that kept one tally and one ceiling per relation."""
+        fams, stats = _index_order(n, k, q, x)
         assert (stats.nodes, len(fams)) == (nodes, count)
         forced, leaves, prunes = OBSERVED[n, k, q, x]
         assert (stats.forced, stats.leaves, list(stats.prunes.items())) == (
@@ -448,6 +536,22 @@ class TestWavePropagation:
             leaves,
             prunes,
         )
+
+    @pytest.mark.parametrize("n,k,q,x", list(FAIL_FIRST))
+    def test_fail_first_matches_index_order(self, n, k, q, x):
+        """The engine's (nodes, forced, leaves, prunes in order) as pinned,
+        and its families those of the index-order oracle, as sha256."""
+        import hashlib
+
+        fams, stats = _engine(geometry(n, k, q), x).solve()
+        assert (stats.nodes, stats.forced, stats.leaves, list(stats.prunes.items())) == (
+            FAIL_FIRST[n, k, q, x]
+        )
+        digests = [
+            hashlib.sha256(repr(sorted(found)).encode()).hexdigest()
+            for found in (fams, _index_order(n, k, q, x)[0])
+        ]
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("n,k,q,x", [(4, 1, 2, Fraction(4, 3)), (3, 1, 2, 2)])
     def test_restore_after_failed_wave(self, n, k, q, x):
