@@ -20,7 +20,7 @@ from .families import (
 )
 from .geometry import GeometryCtx, GeometrySizeError, Subspace, geometry
 from .gf import FieldCtx, FieldReduction, field_ctx
-from .linalg import first_residual, kernel_vectors, rref_int
+from .linalg import kernel_vectors, rref_int
 from .qformulas import (
     SchemeParams,
     count_disjoint,

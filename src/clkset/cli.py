@@ -150,13 +150,7 @@ def cmd_verify(args) -> int:
     ctx = cand.ctx
     bundle = bundle_for(ctx, DiskCache(resolve_cache_dir(args.cache_dir)))
     config = BatteryConfig.fast() if args.battery == "fast" else BatteryConfig()
-    try:
-        report = run_battery(cand, bundle, config)
-    except BatteryDisagreement as exc:
-        print("internal disagreement between definition checks:", file=sys.stderr)
-        for line in exc.report.lines():
-            print("  " + line, file=sys.stderr)
-        return EXIT_DISAGREEMENT
+    report = run_battery(cand, bundle, config)
     if args.format == "json":
         payload = {
             "n": ctx.params.n,
@@ -380,6 +374,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BatteryDisagreement as exc:  # verify's battery, or search's re-check
+        print("internal disagreement between definition checks:", file=sys.stderr)
+        for line in exc.report.lines():
+            print("  " + line, file=sys.stderr)
+        return EXIT_DISAGREEMENT
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,21 +9,19 @@ switching-set balance, spread intersection) and insists that all conclusive
 verdicts agree; a disagreement is a defect in this package, never a property
 of the input, and is raised loudly.
 
-The linear checks share one integer scan of the incidence RREF's free columns
-(`linalg.first_residual`), read off the family bitmask: each column's support
-is grouped by coefficient into pivot masks (`SchemeBundle.residual_masks()`).
-The counting and spectral ones, and the spread checks when n = 2k+1, count
-with the bit-sliced counter the search engine keeps its meet counts in
-(`geometry.tally`): the family's relation rows, or its rows of
-`SchemeBundle.spread_through()`, are summed once, and each target is compared
-with every k-space's or spread's count in one scan of the planes
-(`geometry.equal_mask`).  A family of more than half the k-spaces is counted
-through its complement, as every column of those rows has one size.
+The battery reduces to four per-family computations, each kept on the
+SchemeBundle for the family last asked about (`SchemeBundle.of_family`), so
+it is made once per battery however many checks read it: the linear
+residual of `SchemeBundle.linear_terms()` (rowspace, kernel); one tally of
+the members' `meet_rows()`, every relation side by side, compared with
+per-position target planes in one XOR scan (the four count checks); one
+tally of their `spread_through()` rows (both spread checks when n = 2k+1);
+and, inside the (2k+1)-spaces of a larger geometry, whose spreads are
+carried from one by rank, one bit-sliced counter per spread indexed by
+subspace (`GeometryCtx.sigma_rank_table`, switching-sets).  A family of more
+than half the k-spaces is counted through its complement.
 `SchemeBundle.spread_masks()` holds every spread (full passes) or above 40
-points a sample (sampled passes).  Inside the (2k+1)-spaces of a larger
-geometry, every subspace's spreads are carried from one by rank, so each
-spread's meets over all the subspaces are one bit-sliced counter indexed by
-subspace (`GeometryCtx.sigma_rank_table`).
+points a sample (sampled passes).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from .geometry import (
     equal_mask,
     ids_of,
     mask_of,
-    tally,
 )
 from .qformulas import (
     eigenvalue_p,
@@ -50,7 +47,7 @@ from .qformulas import (
     qbinom,
     valence,
 )
-from .scheme import SchemeBundle, q_disjoint_coefficient
+from .scheme import SchemeBundle, _planes, q_disjoint_coefficient
 
 
 class FamilyError(ValueError):
@@ -250,24 +247,10 @@ class BatteryConfig:
 # -- individual checks -------------------------------------------------------
 
 
-def _first_residual(cand: CLCandidate, bundle: SchemeBundle) -> tuple[int, int] | None:
-    """linalg.first_residual of the characteristic vector: (position,
-    column) of the first free column f with L_f [f in family] differing
-    from the sum of coef * |pivot mask & family|, or None."""
-    fam = cand.mask
-    for idx, (f, scale, terms) in enumerate(bundle.residual_masks()):
-        total = 0
-        for coef, mask in terms:  # a plain loop: no generator per column
-            total += coef * (mask & fam).bit_count()
-        if scale * (fam >> f & 1) != total:
-            return idx, f
-    return None
-
-
 def check_rowspace_membership(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Characteristic vector lies in the row space of the incidence matrix;
     a failure names the first column with a nonzero residual."""
-    miss = _first_residual(cand, bundle)
+    miss = bundle.of_family(cand.mask, bundle.linear_terms().first_residual)
     if miss is None:
         return CheckResult(Verdict.PASS)
     return CheckResult(Verdict.FAIL, witness=("residual-at", miss[1]))
@@ -276,7 +259,7 @@ def check_rowspace_membership(cand: CLCandidate, bundle: SchemeBundle) -> CheckR
 def check_kernel_orthogonality(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Characteristic vector is orthogonal to ker(A); a failure names the
     first kernel_int() vector it is not orthogonal to."""
-    miss = _first_residual(cand, bundle)
+    miss = bundle.of_family(cand.mask, bundle.linear_terms().first_residual)
     if miss is None:
         return CheckResult(Verdict.PASS)
     return CheckResult(Verdict.FAIL, witness=("kernel-vector", miss[0]))
@@ -287,78 +270,50 @@ def _count_at(planes: list[int], e: int) -> int:
     return sum((plane >> e & 1) << b for b, plane in enumerate(planes))
 
 
-def _member_tally(rows, cand: CLCandidate, full: int, column_sizes) -> list[int]:
-    """tally(rows, cand.mask): at each position e of full, the number of
-    members c with bit e in rows[c].  column_sizes gives, per position, the
-    number of all c with bit e in rows[c]; when they are one value v, a
-    family of more than half the k-spaces is counted through its complement,
-    as v less the non-members' count by a bit-sliced subtraction, so that no
-    tally adds more than half the rows."""
-    if 2 * len(cand) <= len(rows):
-        return tally(rows, cand.mask)
-    sizes = set(column_sizes)
-    if len(sizes) != 1:
-        return tally(rows, cand.mask)
-    v = sizes.pop()
-    rest = tally(rows, cand.ctx.full_kspace_mask & ~cand.mask)
-    planes, borrow = [], 0
-    for b in range(max(1, v.bit_length())):
-        x = rest[b] if b < len(rest) else 0
-        a = full if v >> b & 1 else 0
-        planes.append(a ^ x ^ borrow)
-        borrow = (~a & (x | borrow) | x & borrow) & full
-    return planes
-
-
-def _first_tally_miss(
-    cand: CLCandidate, rows, targets_in, targets_out, scale=1
+def _first_count_miss(
+    cand: CLCandidate, bundle: SchemeBundle, targets, scale=1
 ) -> tuple[int, int, int] | None:
-    """First (c, j, count) in c-major order, count = |rows[j][c] & family|,
-    where scale * count differs from targets_in[j] (c a member) or
-    targets_out[j] (c not a member); None when every count matches.  The
-    targets are ints, or None for one that is not integral and so misses at
-    the first k-space.
-
-    Each row table is symmetric (c' in rows[j][c] iff c in rows[j][c']), so
-    its tally over the family counts |rows[j][c] & family| at every c, and
-    its column sizes are the popcounts of its rows."""
-    mask = cand.mask
-    full = cand.ctx.full_kspace_mask
-    tallies, misses, first = [], [], 0
-    for row, t_in, t_out in zip(rows, targets_in, targets_out):
-        planes = _member_tally(row, cand, full, map(int.bit_count, row))
-        hits = mask & equal_mask(planes, _scaled(t_in, scale), full)
-        hits |= ~mask & equal_mask(planes, _scaled(t_out, scale), full)
-        tallies.append(planes)
-        misses.append(full & ~hits)
-        first |= misses[-1]
+    """First (c, i, count) in c-major order, count the members meeting c in
+    dimension k-i, where scale * count differs from t_in (c a member) or
+    t_out (c not a member), over the (i, t_in, t_out) in targets; None when
+    every count matches.  A target of None is not integral and so misses.
+    The counts are the family's MeetRows tally, which every count check
+    shares; the targets are laid out as planes at the same positions, and
+    one XOR scan finds the misses."""
+    counts = bundle.of_family(cand.mask, bundle.meet_rows().tally)
+    total, full = len(cand.ctx.kspaces), cand.ctx.full_kspace_mask
+    sides, misses = [], 0
+    for i, t_in, t_out in targets:
+        for side, t in ((cand.mask, t_in), (full & ~cand.mask, t_out)):
+            side <<= (i - 1) * total
+            t = None if t is None or t % scale else t // scale
+            if t is None or not 0 <= t < 1 << len(counts):
+                misses |= side
+            else:
+                sides.append((side, t))
+    for plane, bound in zip(counts, _planes(sides, len(counts))):
+        misses |= plane ^ bound
+    first = 0
+    for i, _, _ in targets:
+        first |= misses >> (i - 1) * total & full
     if not first:
         return None
     c = (first & -first).bit_length() - 1
-    j = next(j for j, miss in enumerate(misses) if miss >> c & 1)
-    return c, j, _count_at(tallies[j], c)
+    i = next(i for i, _, _ in targets if misses >> (i - 1) * total + c & 1)
+    return c, i, _count_at(counts, (i - 1) * total + c)
 
 
-def _scaled(target: int | None, scale: int) -> int | None:
-    """The count whose scale multiple is target, None when there is none."""
-    if target is None or target % scale:
-        return None
-    return target // scale
-
-
-def _integral(targets) -> list[int | None]:
-    """Rational targets as ints for _first_tally_miss, None where not integral."""
-    return [int(t) if t.denominator == 1 else None for t in targets]
+def _int_or_none(value: Fraction) -> int | None:
+    return int(value) if value.denominator == 1 else None
 
 
 def check_disjointness_counts(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Every k-space pi sees exactly (x - chi(pi)) * q^(k^2+k) * qbinom(n-k-1,k)
     members disjoint from it."""
-    coeff = q_disjoint_coefficient(cand.ctx.params)
+    p = cand.ctx.params
+    coeff = q_disjoint_coefficient(p)
     t_in, t_out = (cand.x - 1) * coeff, cand.x * coeff
-    miss = _first_tally_miss(
-        cand, (bundle.disjointness_masks(),), _integral((t_in,)), _integral((t_out,))
-    )
+    miss = _first_count_miss(cand, bundle, [(p.k + 1, *map(_int_or_none, (t_in, t_out)))])
     if miss is None:
         return CheckResult(Verdict.PASS)
     c, _, count = miss
@@ -381,9 +336,7 @@ def check_kneser_eigenvector(cand: CLCandidate, bundle: SchemeBundle) -> CheckRe
     deg = valence(p.k + 1, p)
     lam = eigenvalue_p(1, p.k + 1, p)
     t_in, t_out = lam * (total - size) + size * deg, size * (deg - lam)
-    miss = _first_tally_miss(
-        cand, (bundle.disjointness_masks(),), (t_in,), (t_out,), scale=total
-    )
+    miss = _first_count_miss(cand, bundle, [(p.k + 1, t_in, t_out)], scale=total)
     if miss is None:
         return CheckResult(Verdict.PASS)
     return CheckResult(Verdict.FAIL, witness=("kspace", miss[0]))
@@ -411,16 +364,16 @@ def check_meet_distribution(cand: CLCandidate, bundle: SchemeBundle) -> CheckRes
     in dimension k-i matches the two-case closed form."""
     p = cand.ctx.params
     x = cand.x
-    targets_in = [meet_count_target(i, p, x, member=True) for i in range(1, p.k + 2)]
-    targets_out = [meet_count_target(i, p, x, member=False) for i in range(1, p.k + 2)]
-    miss = _first_tally_miss(
-        cand, bundle.relation_masks()[1:], _integral(targets_in), _integral(targets_out)
-    )
+    targets = {
+        i: (meet_count_target(i, p, x, member=True), meet_count_target(i, p, x, member=False))
+        for i in range(1, p.k + 2)
+    }
+    miss = _first_count_miss(cand, bundle, [(i, *map(_int_or_none, t)) for i, t in targets.items()])
     if miss is None:
         return CheckResult(Verdict.PASS)
-    c, j, count = miss
-    target = (targets_in if cand.chi(c) else targets_out)[j]
-    witness = ("kspace", c, "i", j + 1, "expected", target, "got", count)
+    c, i, count = miss
+    target = targets[i][0 if cand.chi(c) else 1]
+    witness = ("kspace", c, "i", i, "expected", target, "got", count)
     return CheckResult(Verdict.FAIL, witness=witness)
 
 
@@ -441,14 +394,6 @@ def check_switching_pairs(cand: CLCandidate, pairs) -> CheckResult:
     return CheckResult(Verdict.SAMPLED_PASS, note=f"{len(pairs)} supplied pairs")
 
 
-def _spread_meets(cand: CLCandidate, bundle: SchemeBundle) -> list[int]:
-    """|L meet S| for the spreads S of bundle.spread_masks(), as the planes
-    of a bit-sliced counter indexed by spread."""
-    masks = bundle.spread_masks()
-    sizes = map(int.bit_count, masks)
-    return _member_tally(bundle.spread_through(), cand, (1 << len(masks)) - 1, sizes)
-
-
 def _difference_pair(masks, idx: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(S0 \\ S, S \\ S0) for the first spread S0 and S = masks[idx]: the
     switching-set pair whose imbalance a differing spread meet shows."""
@@ -456,18 +401,17 @@ def _difference_pair(masks, idx: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     return ids_of(masks[0] & ~s), ids_of(s & ~masks[0])
 
 
-def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) -> CheckResult:
+def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
     """Switching-set balance over all spread-difference pairs inside
     (2k+1)-subspaces (the span-sized case uses the global spread list),
-    checked via constancy of the spread meets, which is the same condition.
-    `meets` is `_spread_meets(cand, bundle)` when already known."""
+    checked via constancy of the spread meets, which is the same condition."""
     ctx = cand.ctx
     p = ctx.params
     if p.n == 2 * p.k + 1:
         masks = bundle.spread_masks()
         if len(masks) < 2:
             return CheckResult(Verdict.SKIPPED, note="fewer than two spreads known")
-        meets = _spread_meets(cand, bundle) if meets is None else meets
+        meets = bundle.of_family(cand.mask, bundle.spread_meets)
         full = (1 << len(masks)) - 1
         off = full & ~equal_mask(meets, _count_at(meets, 0), full)
         if off:
@@ -519,17 +463,14 @@ def check_switching_sets(cand: CLCandidate, bundle: SchemeBundle, meets=None) ->
     )
 
 
-def check_spread_intersections(
-    cand: CLCandidate, bundle: SchemeBundle, meets=None
-) -> CheckResult:
-    """|L meet S| = x for every k-spread S of bundle.spread_masks(); `meets`
-    is `_spread_meets(cand, bundle)` when already known."""
+def check_spread_intersections(cand: CLCandidate, bundle: SchemeBundle) -> CheckResult:
+    """|L meet S| = x for every k-spread S of bundle.spread_masks()."""
     p = cand.ctx.params
     if (p.n + 1) % (p.k + 1):
         return CheckResult(
             Verdict.SKIPPED, note=f"no k-spreads: {p.k + 1} does not divide {p.n + 1}"
         )
-    meets = _spread_meets(cand, bundle) if meets is None else meets
+    meets = bundle.of_family(cand.mask, bundle.spread_meets)
     x = cand.x
     if x.denominator != 1:
         return CheckResult(
@@ -584,9 +525,6 @@ _CHECKS = {
     "spread-intersections": check_spread_intersections,
 }
 
-# Checks that read one list of global spread meets when n = 2k+1.
-_SPREAD_MEETS = ("switching-sets", "spread-intersections")
-
 # Checks that hold vacuously when n < 2k+1, where no two k-spaces are disjoint.
 _NEED_DISJOINT_PAIRS = (
     "disjointness-counts",
@@ -614,7 +552,6 @@ def run_battery(
     if config is None:
         config = BatteryConfig()
     report = BatteryReport(x=cand.x, size=len(cand))
-    meets = None
     for name in config.checks:
         if name not in _CHECKS:
             raise ValueError(f"unknown battery check: {name}")
@@ -622,10 +559,6 @@ def run_battery(
         if name in _NEED_DISJOINT_PAIRS and p.n < 2 * p.k + 1:
             note = f"no two {p.k}-spaces of PG({p.n},{p.q}) are disjoint"
             result = CheckResult(Verdict.SKIPPED, note=note)
-        elif name in _SPREAD_MEETS and p.n == 2 * p.k + 1:
-            if meets is None:
-                meets = _spread_meets(cand, bundle)
-            result = _CHECKS[name](cand, bundle, meets)
         else:
             result = _CHECKS[name](cand, bundle)
         result.seconds = time.perf_counter() - start

@@ -11,9 +11,9 @@ Math. 40, 1982).  A modular result never decides anything until that check
 passes.
 
 Everything else reads `rref_int`'s integer form `(pivots, free columns)`:
-the rank is the number of pivots, `kernel_vectors` gives a primitive integer
-kernel basis, and `first_residual` decides row-space membership of an
-integer vector.
+the rank is the number of pivots and `kernel_vectors` gives a primitive
+integer kernel basis; row-space membership is read off the same form by
+`scheme.LinearTerms`.
 """
 
 from __future__ import annotations
@@ -228,17 +228,3 @@ def kernel_vectors(free_columns: list[FreeColumn], ncols: int) -> list[tuple[int
             v[pcol] = -coef
         basis.append(tuple(v))
     return basis
-
-
-def first_residual(free_columns: list[FreeColumn], v) -> tuple[int, int] | None:
-    """(position, column) of the first free column f of the RREF with
-    L * v[f] != sum(coef * v[pivot]), or None when v is in the row space.
-
-    Row-reducing v against the RREF leaves 0 at every pivot column and that
-    integer divided by L at free column f; it is also the dot product of v
-    with the f-th vector of kernel_vectors, so one scan decides both row-space
-    membership and orthogonality to the kernel."""
-    for idx, (f, scale, supp) in enumerate(free_columns):
-        if scale * v[f] != sum(coef * v[pcol] for pcol, coef in supp):
-            return idx, f
-    return None

@@ -10,6 +10,9 @@ which the geometry's point count chooses: every spread up to
 DEFAULT_SPREAD_POINT_CAP points, rebuilt in each process, the field-reduction
 sample above.  Only the sample is cached, and a cached sample is used only
 after it is checked against the geometry.
+The battery and the search read the bundle's two rule tables, each built on
+first use: MeetRows from the relation masks alone, and LinearTerms, the one
+reader of the RREF's free columns.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from math import lcm
 
-from .geometry import DEFAULT_SPREAD_POINT_CAP, GeometryCtx, mask_of
+from .geometry import DEFAULT_SPREAD_POINT_CAP, GeometryCtx, _add, ids_of, mask_of, tally
 from .linalg import FreeColumn, kernel_vectors, rref_int
 from .qformulas import _require_span_scale, eigenvalue_p, qbinom
 
@@ -93,6 +96,118 @@ def _products_match(rel, products) -> bool:
             if got != list(map(want.__getitem__, where)):
                 return False
     return True
+
+
+def _planes(pairs, width: int) -> list[int]:
+    """The planes of a bound holding v at the bits of mask, per (mask, v)."""
+    planes = [0] * width
+    for mask, value in pairs:
+        for b in range(value.bit_length()):
+            planes[b] |= mask if value >> b & 1 else 0
+    return planes
+
+
+def member_tally(rows, mask: int, sizes: list[int]) -> list[int]:
+    """tally(rows, mask): at each position e, the number of ids c in mask
+    with bit e in rows[c].  sizes holds the planes of that count over all
+    the rows; a mask of more than half the rows is counted through its
+    complement, as sizes less the other rows' count by a bit-sliced
+    subtraction, so that no tally adds more than half the rows."""
+    if 2 * mask.bit_count() <= len(rows):
+        return tally(rows, mask)
+    rest = tally(rows, (1 << len(rows)) - 1 & ~mask)
+    planes, borrow = [], 0
+    for b, a in enumerate(sizes):
+        x = rest[b] if b < len(rest) else 0
+        planes.append(a ^ x ^ borrow)
+        borrow = ~a & (x | borrow) | x & borrow
+    return planes
+
+
+class MeetRows:
+    """Each k-space's relation rows side by side: wide[c] holds rel[i][c]
+    at bit (i-1)N, so position (i, c') of a tally over a family counts its
+    members meeting c' in dimension k-i (the relations are symmetric).
+    valence holds the planes of deg_i at every position of block i-1; a
+    relation whose rows differ in size raises, as the complement count
+    of member_tally rests on it."""
+
+    def __init__(self, rel: list[list[int]]):
+        self.rel = rel
+        total = len(rel[0])
+        degrees = [masks[0].bit_count() for masks in rel[1:]]
+        for i, masks in enumerate(rel[1:], 1):
+            if any(m.bit_count() != degrees[i - 1] for m in masks):
+                raise RuntimeError(f"relation {i} is not regular: its rows differ in size")
+        blocks = [((1 << total) - 1) << j * total for j in range(len(degrees))]
+        width = max(1, max(degrees).bit_length())
+        self.valence = _planes(zip(blocks, degrees), width)
+        self.wide = list(rel[1])
+        for i in range(2, len(rel)):
+            shift = (i - 1) * total
+            self.wide = [w | m << shift for w, m in zip(self.wide, rel[i])]
+
+    def tally(self, mask: int) -> list[int]:
+        """The meet counts of the family mask at every position (i, c)."""
+        return member_tally(self.wide, mask, self.valence)
+
+
+class LinearTerms:
+    """The RREF's equations L_f chi_f = sum coef chi_pivot as planes indexed
+    by free column f: per pivot c, terms[c] holds the (plane, mask) pairs of
+    its positive and its negative coefficients and the mask of the columns
+    it is in; scale holds L_f.  With m0_f and p0_f the magnitudes of f's
+    negative and positive coefficients, zero_bounds hold (m0_f, p0_f) and
+    scale_bounds (m0_f + L_f, p0_f - L_f) where p0_f >= L_f
+    (scale_reachable); no sum passes L_f + m0_f + p0_f."""
+
+    def __init__(self, pivots: tuple[int, ...], free: list[FreeColumn]):
+        self.pivots, self.pivot_mask = pivots, mask_of(pivots)
+        self.free_mask = mask_of(f for f, _, _ in free)
+        cols = [
+            (1 << f, scale, -sum(v for _, v in supp if v < 0), sum(v for _, v in supp if v > 0))
+            for f, scale, supp in free
+        ]
+        width = self.width = max((sum(col[1:]).bit_length() for col in cols), default=0)
+        self.scale = _planes([(bit, scale) for bit, scale, _, _ in cols], width)
+        self.zero_bounds = (
+            _planes([(bit, m0) for bit, _, m0, _ in cols], width),
+            _planes([(bit, p0) for bit, _, _, p0 in cols], width),
+        )
+        self.scale_reachable = sum(bit for bit, scale, _, p0 in cols if p0 >= scale)
+        self.scale_bounds = (
+            _planes([(bit, m0 + scale) for bit, scale, m0, _ in cols], width),
+            _planes([(bit, p0 - scale) for bit, scale, _, p0 in cols if p0 >= scale], width),
+        )
+        sides = {c: ([], []) for c in pivots}
+        for f, _, supp in free:
+            for c, v in supp:
+                sides[c][v < 0].append((1 << f, abs(v)))
+        self.terms = {}
+        for c, pair in sides.items():
+            pos, neg = ([(b, m) for b, m in enumerate(_planes(side, width)) if m] for side in pair)
+            self.terms[c] = pos, neg, sum(bit for side in pair for bit, _ in side)
+
+    def first_residual(self, mask: int) -> tuple[int, int] | None:
+        """linalg.first_residual of the family mask: (position, column) of
+        the lowest free column f where L_f chi_f + the negative terms of
+        the member pivots differ from their positive terms, or None."""
+        pos, neg = [0] * self.width, [0] * self.width
+        for c in ids_of(mask & self.pivot_mask):
+            up, down, _ = self.terms[c]
+            for b, m in up:
+                _add(pos, m, b)
+            for b, m in down:
+                _add(neg, m, b)
+        for b, m in enumerate(self.scale):
+            _add(neg, m & mask, b)
+        diff = 0
+        for a, b in zip(pos, neg):
+            diff |= a ^ b
+        if not diff:
+            return None
+        f = (diff & -diff).bit_length() - 1
+        return (self.free_mask & ((1 << f) - 1)).bit_count(), f
 
 
 @dataclass(frozen=True)
@@ -195,17 +310,19 @@ def full_spectrum_check(ctx: GeometryCtx) -> SpectrumCertificate:
 
 class SchemeBundle:
     """Per-geometry store of the scheme artifacts the battery and the search
-    need: the incidence RREF in integer form, its kernel, spread masks."""
+    need: the incidence RREF in integer form, its kernel, the two rule
+    tables, spread masks."""
 
     def __init__(self, ctx: GeometryCtx, cache=None):
         self.ctx = ctx
         self.cache = cache
         self._rref: tuple[tuple[int, ...], list[FreeColumn]] | None = None
-        self._residual_masks: list[tuple[int, int, tuple[tuple[int, int], ...]]] | None = None
+        self._meet_rows: MeetRows | None = None
+        self._linear_terms: LinearTerms | None = None
         self._spread_masks: list[int] | None = None
         self._spread_through: list[int] | None = None
         self._distance_regular: bool | None = None
-        self.search_tables = None  # the search engine's, built on its first search
+        self._family: tuple[int | None, dict] = (None, {})
 
     @property
     def params(self):
@@ -233,18 +350,27 @@ class SchemeBundle:
             self._rref = rref_int(incidence_rows(self.ctx), len(self.ctx.kspaces))
         return self._rref
 
-    def residual_masks(self) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
-        """The free columns of incidence_rref() with each support grouped by
-        coefficient: (f, L, ((coef, mask of the pivots with it), ...)), so a
-        0/1 vector's equations are read off its bitmask; built once."""
-        if self._residual_masks is None:
-            self._residual_masks = []
-            for f, scale, supp in self.incidence_rref()[1]:
-                by_coef: dict[int, int] = {}
-                for pcol, coef in supp:
-                    by_coef[coef] = by_coef.get(coef, 0) | 1 << pcol
-                self._residual_masks.append((f, scale, tuple(by_coef.items())))
-        return self._residual_masks
+    def meet_rows(self) -> MeetRows:
+        if self._meet_rows is None:
+            self._meet_rows = MeetRows(self.relation_masks())
+        return self._meet_rows
+
+    def linear_terms(self) -> LinearTerms:
+        if self._linear_terms is None:
+            self._linear_terms = LinearTerms(*self.incidence_rref())
+        return self._linear_terms
+
+    def of_family(self, mask: int, build):
+        """build(mask), kept for the family mask the bundle was last asked
+        about: a value several checks read is computed once per battery,
+        and no more than one family's values are kept."""
+        seen, values = self._family
+        if seen != mask:
+            values = {}
+            self._family = (mask, values)
+        if build not in values:
+            values[build] = build(mask)
+        return values[build]
 
     def kernel_int(self) -> list[tuple[int, ...]]:
         """Primitive integer kernel basis of the incidence matrix, one vector
@@ -253,9 +379,6 @@ class SchemeBundle:
 
     def relation_masks(self) -> list[list[int]]:
         return self.ctx.relation_masks()
-
-    def disjointness_masks(self) -> list[int]:
-        return self.relation_masks()[self.params.k + 1]
 
     def spreads_exhaustive(self) -> bool:
         """Whether spread_masks() lists every k-spread, which it does up to
@@ -302,6 +425,15 @@ class SchemeBundle:
                     through[c] |= int(digits[total - 1 - c :: total], 2) << start
             self._spread_through = through
         return self._spread_through
+
+    def spread_meets(self, mask: int) -> list[int]:
+        """|L meet S| for the family mask L and the spreads S of
+        spread_masks(), as the planes of a bit-sliced counter indexed by
+        spread; every spread has one size."""
+        masks = self.spread_masks()
+        size = masks[0].bit_count() if masks else 0
+        full = (1 << len(masks)) - 1
+        return member_tally(self.spread_through(), mask, _planes([(full, size)], size.bit_length()))
 
     def _cached_sample(self) -> list[list[int]] | None:
         """The cached spread sample if it is one spread_masks() could have

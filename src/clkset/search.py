@@ -21,10 +21,11 @@ counters (Knuth, TAOCP 4A, 7.1.3) that only add, through `geometry._add`;
 a scan from the top digit compares one with per-position bounds.
 - The in-tally T and out-tally O count, at position (i, c), bit (i-1)N + c,
   the members and the non-members among c's relation-i neighbours, so
-  deciding c adds one wide row.  A side with target t needs T <= t and a
-  ceiling deg_i - O >= t, that is O <= deg_i - t.
+  deciding c adds one wide row of the SchemeBundle's MeetRows.  A side with
+  target t needs T <= t and a ceiling deg_i - O >= t, that is O <= deg_i - t.
 - Mup and Pdn count, at free column f's bit, how far the least and the
-  greatest reachable value of sum coef * chi_pivot have risen and fallen.
+  greatest reachable value of sum coef * chi_pivot have risen and fallen;
+  the coefficient planes and bounds are the SchemeBundle's LinearTerms.
   With m0_f and p0_f the magnitudes of f's negative and positive
   coefficients, 0 is reachable while Mup <= m0_f and Pdn <= p0_f, and L_f
   while Mup <= m0_f + L_f and Pdn <= p0_f - L_f.
@@ -46,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import CLCandidate, run_battery
+from .families import CLCandidate, _int_or_none, run_battery
 from .geometry import GeometryCtx, _add, ids_of, mask_of
 from .qformulas import (
     excludes_skew_subfamily,
@@ -55,7 +56,7 @@ from .qformulas import (
     valence,
     within_classification_bound,
 )
-from .scheme import bundle_for
+from .scheme import _planes, bundle_for
 
 DEFAULT_SEARCH_CAP = 2000
 
@@ -79,19 +80,6 @@ class SearchResult:
     reason: str | None = None  # set when the search was decided without DFS
 
 
-def _int_or_none(value: Fraction) -> int | None:
-    return int(value) if value.denominator == 1 else None
-
-
-def _planes(pairs, width: int) -> list[int]:
-    """The planes of a bound holding v at the bits of mask, per (mask, v)."""
-    planes = [0] * width
-    for mask, value in pairs:
-        for b in range(value.bit_length()):
-            planes[b] |= mask if value >> b & 1 else 0
-    return planes
-
-
 def _exceeds(x, y, x_bound, y_bound, where: int) -> tuple[int, int, int]:
     """For counters x and y and bounds of as many planes, by one scan from
     the top digit: the positions in where with x or y above its bound, and
@@ -107,46 +95,6 @@ def _exceeds(x, y, x_bound, y_bound, where: int) -> tuple[int, int, int]:
         if not (x_eq or y_eq):
             break  # the lower digits decide nothing more
     return over, x_eq, y_eq
-
-
-class _Tables:
-    """What the engine reads of a geometry whatever x, built on its first
-    search and kept on its SchemeBundle."""
-
-    def __init__(self, bundle):
-        total = len(bundle.ctx.kspaces)
-        self.rel = bundle.relation_masks()
-        # k-space c's relation rows side by side, rel[i][c] at bit (i-1)N
-        self.wide = [sum(m << i * total for i, m in enumerate(col)) for col in zip(*self.rel[1:])]
-        pivots, free = bundle.incidence_rref()
-        self.pivots, self.pivot_mask = pivots, mask_of(pivots)
-        self.free_mask = mask_of(f for f, _, _ in free)
-        # per free column: bit, L_f, m0_f, p0_f; no count or bound passes their sum
-        cols = [
-            (1 << f, scale, -sum(v for _, v in supp if v < 0), sum(v for _, v in supp if v > 0))
-            for f, scale, supp in free
-        ]
-        width = self.width = max((sum(col[1:]).bit_length() for col in cols), default=0)
-        # the Mup and Pdn bounds up to which 0, and L_f, stay reachable
-        self.zero_bounds = (
-            _planes([(bit, m0) for bit, _, m0, _ in cols], width),
-            _planes([(bit, p0) for bit, _, _, p0 in cols], width),
-        )
-        self.scale_reachable = sum(bit for bit, scale, _, p0 in cols if p0 >= scale)
-        self.scale_bounds = (
-            _planes([(bit, m0 + scale) for bit, scale, m0, _ in cols], width),
-            _planes([(bit, p0 - scale) for bit, scale, _, p0 in cols if p0 >= scale], width),
-        )
-        # per pivot c: the (plane, mask) pairs it adds for its positive and
-        # for its negative coefficients, and the free columns it is in
-        sides = {c: ([], []) for c in pivots}
-        for f, _, supp in free:
-            for c, v in supp:
-                sides[c][v < 0].append((1 << f, abs(v)))
-        self.terms = {}
-        for c, pair in sides.items():
-            pos, neg = ([(b, m) for b, m in enumerate(_planes(side, width)) if m] for side in pair)
-            self.terms[c] = pos, neg, sum(bit for side in pair for bit, _ in side)
 
 
 class _PropagateEngine:
@@ -181,9 +129,7 @@ class _PropagateEngine:
                     self.reason = f"{side} need exactly {want} meets at relation {i}: impossible"
                     return
         bundle = bundle_for(ctx)
-        if bundle.search_tables is None:
-            bundle.search_tables = _Tables(bundle)
-        self.tables = bundle.search_tables
+        self.rows, self.linear = bundle.meet_rows(), bundle.linear_terms()
         # position (i, c) of T and O is bit (i-1)N + c, and rep * mask copies
         # an N-bit mask into every relation's block
         self.rep = sum(1 << i * self.total for i in range(self.num_rel))
@@ -202,7 +148,7 @@ class _PropagateEngine:
     def _init_state(self):
         self.in_mask = self.out_mask = self.pend_in = self.pend_out = 0
         self.tally_in, self.tally_out = [0] * self.width, [0] * self.width
-        self.rise, self.fall = [0] * self.tables.width, [0] * self.tables.width
+        self.rise, self.fall = [0] * self.linear.width, [0] * self.linear.width
 
     def _snapshot(self):
         counters = self.tally_in, self.tally_out, self.rise, self.fall
@@ -248,7 +194,7 @@ class _PropagateEngine:
         force_in, force_out = ok_in & ~ok_out & undecided, ok_out & ~ok_in & undecided
         if not (bad or force_in or force_out or sat_out or sat_in):
             return True
-        for i, rel in enumerate(self.tables.rel[1:]):
+        for i, rel in enumerate(self.rows.rel[1:]):
             at = i * self.total
             if bad >> at & full:
                 stats.bump("count")
@@ -266,7 +212,7 @@ class _PropagateEngine:
         """Free column f is L_f * chi_f = sum coef * chi_pivot: it can be out
         while 0 is reachable, in while L_f is.  A wave with a column that can
         be neither and one whose force conflicts is labelled by the lower."""
-        tb, rise, fall = self.tables, self.rise, self.fall
+        tb, rise, fall = self.linear, self.rise, self.fall
         zero = cols & ~_exceeds(rise, fall, *tb.zero_bounds, cols)[0]
         where = cols & tb.scale_reachable
         scale = where & ~_exceeds(rise, fall, *tb.scale_bounds, where)[0]
@@ -292,11 +238,11 @@ class _PropagateEngine:
         if not self.in_mask.bit_count() <= self.target <= self.total - self.out_mask.bit_count():
             stats.bump("size")
             return False
-        tb, cols = self.tables, 0
+        tb, wide, cols = self.linear, self.rows.wide, 0
         for c in ids_of(new_in):
-            _add(self.tally_in, tb.wide[c])
+            _add(self.tally_in, wide[c])
         for c in ids_of(new_out):
-            _add(self.tally_out, tb.wide[c])
+            _add(self.tally_out, wide[c])
         for c in ids_of((new_in | new_out) & tb.pivot_mask):
             # a pivot in adds its positive terms to Mup, its negative ones to Pdn
             pos, neg, touched = tb.terms[c]
@@ -327,9 +273,9 @@ class _PropagateEngine:
         undecided pivot with the fewest undecided relation-1 neighbours, the
         lowest id on a tie; None once every pivot is decided."""
         undecided = self.full & ~(self.in_mask | self.out_mask)
-        near = self.tables.rel[1]
+        near = self.rows.rel[1]
         return min(
-            ids_of(self.tables.pivot_mask & undecided),
+            ids_of(self.linear.pivot_mask & undecided),
             key=lambda c: (near[c] & undecided).bit_count(),
             default=None,
         )
@@ -362,7 +308,7 @@ class _PropagateEngine:
         fixpoint too), then the decisions ins and outs."""
         self._init_state()
         return (
-            self._linear_rule(self.tables.free_mask, stats)
+            self._linear_rule(self.linear.free_mask, stats)
             and self._count_rules(stats)
             and self._apply(ins, outs, stats)
         )
@@ -380,7 +326,7 @@ class _PropagateEngine:
     def root_prefixes(self, width: int) -> list[tuple[int, int]]:
         """(ins, outs) assignments of the first few pivots, for tree partitioning."""
         prefixes = [(0, 0)]
-        for pcol in self.tables.pivots[:8]:
+        for pcol in self.linear.pivots[:8]:
             if len(prefixes) >= width:
                 break
             bit = 1 << pcol
@@ -459,7 +405,8 @@ class WindowRow:
 
 def nonexistence_window(ctx: GeometryCtx, lo, hi, threads: int = 1) -> list[WindowRow]:
     """Search every admissible parameter s/base strictly inside (lo, hi) and
-    report the outcomes together with the closed-form bound verdicts; a
+    report the outcomes together with the closed-form bound verdicts (the
+    skew audit is None for x <= -1, which has no c = ceil(x) >= 0); a
     window holding no such parameter, or more of them than the N + 1 family
     sizes, is refused before anything is searched."""
     lo, hi = Fraction(lo), Fraction(hi)
@@ -482,7 +429,7 @@ def nonexistence_window(ctx: GeometryCtx, lo, hi, threads: int = 1) -> list[Wind
         result = search_all(ctx, x, threads)
         bound = within_classification_bound(p, x) if p.n >= 3 * p.k + 2 else None
         audit = None
-        if p.n > 2 * p.k + 1:
+        if p.n > 2 * p.k + 1 and math.ceil(x) >= 0:
             audit = excludes_skew_subfamily(math.ceil(x), p, x)
         rows.append(
             WindowRow(x, s, len(result.families), result.reason, bound, audit, result.stats)

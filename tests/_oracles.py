@@ -179,7 +179,7 @@ class IndexOrderEngine(_PropagateEngine):
     those of the earlier engines."""
 
     def _next_pivot(self, start: int = 0) -> int | None:
-        decided, pivots = self.in_mask | self.out_mask, self.tables.pivots
+        decided, pivots = self.in_mask | self.out_mask, self.linear.pivots
         for idx in range(start, len(pivots)):
             if not decided >> pivots[idx] & 1:
                 return idx
@@ -191,7 +191,7 @@ class IndexOrderEngine(_PropagateEngine):
             self._leaf(out, stats)
             return
         stats.nodes += 1
-        bit = 1 << self.tables.pivots[idx]
+        bit = 1 << self.linear.pivots[idx]
         snap = self._snapshot()
         for ins, outs in ((bit, 0), (0, bit)):
             if self._apply(ins, outs, stats):
@@ -375,6 +375,20 @@ def residual_fraction(rows, pivots, v) -> list[Fraction]:
     return res
 
 
+def first_residual(free_columns, v) -> tuple[int, int] | None:
+    """The residual scan the battery's LinearTerms replaced: (position, column) of the first free column f of the RREF with
+    L * v[f] != sum(coef * v[pivot]), or None when v is in the row space.
+
+    Row-reducing v against the RREF leaves 0 at every pivot column and that
+    integer divided by L at free column f; it is also the dot product of v
+    with the f-th vector of kernel_vectors, so one scan decides both row-space
+    membership and orthogonality to the kernel."""
+    for idx, (f, scale, supp) in enumerate(free_columns):
+        if scale * v[f] != sum(coef * v[pcol] for pcol, coef in supp):
+            return idx, f
+    return None
+
+
 def free_columns_from_rref(rows, pivots, ncols: int):
     """(f, L, ((pivot, L * R[r][f]), ...)) per non-pivot column f of an RREF
     given as Fraction rows, L the lcm of the column's denominators."""
@@ -510,7 +524,7 @@ def kernel_check_bitwalk(cand, bundle):
 def disjointness_check_popcount(cand, bundle):
     coeff = q_disjoint_coefficient(cand.ctx.params)
     t_in, t_out = (cand.x - 1) * coeff, cand.x * coeff
-    masks = bundle.disjointness_masks()
+    masks = bundle.ctx.disjointness_masks()
     for c in range(len(cand.ctx.kspaces)):
         count = (masks[c] & cand.mask).bit_count()
         target = t_in if cand.chi(c) else t_out
@@ -527,7 +541,7 @@ def kneser_check_popcount(cand, bundle):
     lam = eigenvalue_p(1, p.k + 1, p)
     if size in (0, total):
         return Verdict.PASS, None, "zero vector (constant family)"
-    masks = bundle.disjointness_masks()
+    masks = bundle.ctx.disjointness_masks()
     for c in range(total):
         a_c = (masks[c] & cand.mask).bit_count()
         if total * a_c - size * deg != lam * (total * cand.chi(c) - size):

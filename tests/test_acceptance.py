@@ -202,7 +202,7 @@ def test_acceptance_5_counting_formulas():
         ctx = geometry(n, k, q)
         bundle = bundle_for(ctx)
         p = ctx.params
-        disj = bundle.disjointness_masks()
+        disj = bundle.ctx.disjointness_masks()
         sigmas = [
             (mask_of(ctx.all_in(sigma)), ctx.sigma_spread_masks(sigma))
             for sigma in ctx.subspaces_of_dim(2 * k + 1)

@@ -25,7 +25,6 @@ from clkset import (
 from clkset.families import (
     _CHECKS,
     _count_at,
-    _member_tally,
     check_disjointness_counts,
     check_kernel_orthogonality,
     check_meet_distribution,
@@ -34,6 +33,7 @@ from clkset.families import (
     check_switching_sets,
 )
 from clkset.geometry import GeometryCtx, ids_of, mask_of
+from clkset.scheme import LinearTerms, MeetRows
 from clkset.qformulas import (
     SchemeParams,
     eigenvalue_p,
@@ -397,17 +397,16 @@ class TestIntegerChecksMatchOracles:
     @pytest.mark.parametrize("n,k,q", [(3, 1, 3), (3, 1, 4), (5, 1, 2)])
     def test_residual_on_bitmask_matches_vector_scan(self, n, k, q):
         """The battery reads first_residual off the family bitmask, through
-        the supports grouped by coefficient; it names the same (position,
+        the coefficient planes of LinearTerms; it names the same (position,
         column) as the scan of the 0/1 vector, None included."""
-        from clkset.families import _first_residual
-        from clkset.linalg import first_residual
+        from _oracles import first_residual
 
         ctx = geometry(n, k, q)
         bundle = bundle_for(ctx)
         free = bundle.incidence_rref()[1]
         misses = set()
         for cand in _oracle_roster(ctx, random.Random(q)):
-            miss = _first_residual(cand, bundle)
+            miss = bundle.linear_terms().first_residual(cand.mask)
             assert miss == first_residual(free, cand.vector())
             misses.add(miss is None)
         assert misses == {True, False}
@@ -566,20 +565,103 @@ class TestMemberTally:
     @pytest.mark.parametrize("moved", [False, True])
     def test_counts_match_popcounts(self, pg32, moved):
         # families on both sides of half the k-spaces, on the relation
-        # tables and on the same tables with one pair moved from "meet" to
-        # "disjoint": still symmetric, no longer regular, so counted directly
+        # tables; the same tables with one pair moved from "meet" to
+        # "disjoint" are still symmetric but no longer regular, so their
+        # MeetRows, whose complement count rests on regularity, raise
         rel = [list(masks) for masks in pg32.relation_masks()]
         if moved:
             e = ids_of(rel[1][0])[0]
             for a, b in ((0, e), (e, 0)):
                 rel[1][a] ^= 1 << b
                 rel[2][a] |= 1 << b
+            with pytest.raises(RuntimeError, match="relation 1 is not regular"):
+                MeetRows(rel)
+            return
+        rows = MeetRows(rel)
         pen = point_pencil_family(pg32, 0)
         for cand in (pen, complement(pen), full_family(pg32), family(pg32, range(18))):
-            for rows in rel[1:]:
-                planes = _member_tally(rows, cand, pg32.full_kspace_mask, map(int.bit_count, rows))
+            planes = rows.tally(cand.mask)
+            for i in (1, 2):
                 for c in range(35):
-                    assert _count_at(planes, c) == (rows[c] & cand.mask).bit_count()
+                    got = _count_at(planes, (i - 1) * 35 + c)
+                    assert got == (rel[i][c] & cand.mask).bit_count()
+
+
+class TestSharedFamilyValues:
+    """Each battery computes a family's meet counts, linear residual and
+    spread meets once, however many checks read them, and the count checks
+    never eliminate."""
+
+    def test_one_build_per_family_per_battery(self, pg32, monkeypatch):
+        calls = []
+        for cls, name in ((MeetRows, "tally"), (LinearTerms, "first_residual")):
+            original = getattr(cls, name)
+
+            def counted(self, mask, original=original, name=name):
+                calls.append((name, mask))
+                return original(self, mask)
+
+            monkeypatch.setattr(cls, name, counted)
+        spread_calls = []
+        original_meets = SchemeBundle.spread_meets
+
+        def counted_meets(self, mask):
+            spread_calls.append(mask)
+            return original_meets(self, mask)
+
+        monkeypatch.setattr(SchemeBundle, "spread_meets", counted_meets)
+        bundle = SchemeBundle(pg32)
+        pen = point_pencil_family(pg32, 0)
+        cands = [pen, complement(pen), family(pg32, range(9)), pen]
+        for cand in cands:
+            del calls[:], spread_calls[:]
+            try:
+                run_battery(cand, bundle)
+            except BatteryDisagreement:
+                pass
+            names = sorted(name for name, _ in calls)
+            assert names == ["first_residual", "tally"], cand.ids[:8]
+            assert {mask for _, mask in calls} == {cand.mask}
+            assert spread_calls == [cand.mask]
+
+    def test_first_miss_in_c_major_order(self, pg32, pg32_bundle):
+        # exact targets miss nowhere; with relation 1 off for members and
+        # relation 2 off for non-members, k-space 0 misses first, at the
+        # relation of its own side (the complement is counted through the
+        # members' complement, the pencil directly)
+        from clkset.families import _first_count_miss
+        from clkset.qformulas import meet_count_target
+
+        rel = pg32.relation_masks()
+        pen = point_pencil_family(pg32, 0)
+        for cand in (pen, complement(pen)):
+            t = {
+                i: [int(meet_count_target(i, pg32.params, cand.x, member=m)) for m in (True, False)]
+                for i in (1, 2)
+            }
+            assert _first_count_miss(cand, pg32_bundle, [(i, *t[i]) for i in (1, 2)]) is None
+            t[1][0] += 1
+            t[2][1] += 1
+            i = 1 if cand.chi(0) else 2
+            miss = _first_count_miss(cand, pg32_bundle, [(i, *t[i]) for i in (1, 2)])
+            assert miss == (0, i, (rel[i][0] & cand.mask).bit_count())
+
+    def test_count_checks_never_build_the_rref(self, pg33, monkeypatch):
+        # the ladder workload's checks, on a bundle that cannot eliminate
+        def refused(self):
+            raise AssertionError("incidence_rref called")
+
+        monkeypatch.setattr(SchemeBundle, "incidence_rref", refused)
+        config = BatteryConfig(
+            checks=("disjointness-counts", "kneser-eigenvector", "meet-distribution")
+        )
+        bundle = SchemeBundle(pg33)
+        pen = point_pencil_family(pg33, 0)
+        for cand in (pen, complement(pen)):
+            report = run_battery(cand, bundle, config)
+            assert report.passed and len(report.results) == 3
+        report = run_battery(family(pg33, range(40)), bundle, config)
+        assert {r.verdict for r in report.results.values()} == {Verdict.FAIL}
 
 
 class TestSpreadThrough:

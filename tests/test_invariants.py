@@ -1,7 +1,7 @@
 """Source invariants of the package.  Invariants raise instead of asserting,
 so they still hold under `python -O`, which strips every `assert`
 statement; no Fraction arithmetic enters the integer modules; no float
-touches a decision."""
+touches a decision; one module lays out the free columns of the RREF."""
 
 import ast
 from pathlib import Path
@@ -70,6 +70,23 @@ def test_no_float_in_package():
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "float"
                 )
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_scheme_reads_the_incidence_rref():
+    # the battery and the search read the free columns through the bundle's
+    # LinearTerms, so one module is in charge of how they are laid out
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scheme.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "incidence_rref"
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

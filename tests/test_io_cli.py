@@ -680,6 +680,32 @@ class TestCLI:
             for key in ("nodes", "forced", "leaves", "prunes"):
                 assert got[key] == getattr(stats, key)
 
+    def test_search_window_below_minus_one(self, tmp_path, capsys):
+        code = main(
+            ["search", "--n", "4", "--q", "2", "--k", "1", "--window", "-2", "0",
+             "--format", "json", "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["skew_exclusion"] is None for r in rows] == [True] * 15 + [False] * 14
+
+    def test_search_disagreement_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a battery whose kernel check fails every family disagrees with the
+        # other checks on each family the search found: exit 3, as verify
+        from clkset.families import _CHECKS, CheckResult, Verdict
+
+        monkeypatch.setitem(_CHECKS, "kernel", lambda cand, bundle: CheckResult(Verdict.FAIL))
+        code = main(
+            ["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1",
+             "--cache-dir", str(tmp_path / "c")]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0] == "internal disagreement between definition checks:"
+        assert "  kernel: fail" in lines and "  rowspace: pass" in lines
+
     def test_search_refuses_zero_threads(self, capsys):
         assert main(
             ["search", "--n", "3", "--q", "2", "--k", "1", "--x", "1", "--threads", "0"]

@@ -6,12 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fraction_rows, kernel_basis_fraction, residual_fraction, rref_fraction, scale_to_int
+from _oracles import (
+    first_residual,
+    fraction_rows,
+    kernel_basis_fraction,
+    residual_fraction,
+    rref_fraction,
+    scale_to_int,
+)
 from clkset import linalg
 from clkset.linalg import (
     CertificateError,
     check_rref_certificate,
-    first_residual,
     kernel_vectors,
     modular_primes,
     rref_int,

@@ -16,6 +16,7 @@ from clkset import (
 )
 from _oracles import (
     eigenspace_rref,
+    first_residual,
     free_columns_from_rref,
     full_spectrum_check_rref,
     kernel_basis_fraction,
@@ -32,7 +33,6 @@ from clkset.io import DiskCache
 from clkset.linalg import (
     CertificateError,
     check_rref_certificate,
-    first_residual,
     rref_int,
 )
 from clkset.scheme import (

@@ -150,6 +150,23 @@ class TestSearchPG32:
         (zero,) = nonexistence_window(pg32, Fraction(-1, 14), Fraction(1, 14))
         assert (zero.x, zero.size, zero.families) == (0, 0, 1)
 
+    def test_skew_audit_skipped_at_and_below_minus_one(self):
+        """The skew audit takes c = ceil(x) >= 0, so a window reaching
+        x <= -1 searches every row and leaves the audit of those rows None;
+        the rows with ceil(x) = 0 keep theirs."""
+        from clkset.qformulas import excludes_skew_subfamily
+
+        pg42 = geometry(4, 1, 2)
+        rows = nonexistence_window(pg42, -2, 0)
+        assert [row.size for row in rows] == list(range(-29, 0))
+        assert all(row.families == 0 for row in rows)
+        for row in rows:
+            if row.x <= -1:
+                assert row.skew_audit is None, row.x
+            else:
+                assert row.skew_audit == excludes_skew_subfamily(0, pg42.params, row.x)
+        assert sum(row.skew_audit is None for row in rows) == 15
+
     def test_window_wider_than_the_family_sizes_refused(self, pg32):
         """A window holding more parameters s/base than there are family
         sizes 0..N is refused before anything is searched: PG(2,2) lines
@@ -282,7 +299,7 @@ def _check_fixpoint(eng, ctx):
     positions = eng.num_rel * eng.total
     assert not any(plane >> positions for plane in eng.tally_in + eng.tally_out)
     for i in range(1, eng.num_rel + 1):
-        for m, nbs in enumerate(eng.tables.rel[i]):
+        for m, nbs in enumerate(eng.rows.rel[i]):
             t = (nbs & ins).bit_count()
             o = (nbs & outs).bit_count()
             assert _decode(eng.tally_in, (i - 1) * eng.total + m) == t
@@ -320,10 +337,10 @@ def _check_fixpoint(eng, ctx):
     # fail first: the undecided pivot with the fewest undecided relation-1
     # neighbours, the lowest id on a tie
     undecided = [c for c in range(eng.total) if not (ins | outs) >> c & 1]
-    near = eng.tables.rel[1]
+    near = eng.rows.rel[1]
     choices = sorted(
         (sum(near[c] >> d & 1 for d in undecided), c)
-        for c in eng.tables.pivots
+        for c in eng.linear.pivots
         if c in undecided
     )
     assert eng._next_pivot() == (choices[0][1] if choices else None)
@@ -380,7 +397,7 @@ class TestBitSlicedEngine:
         for fam in rng.sample(search_all(ctx, x).families, 3):
             mask = mask_of(fam)
             assert eng._start(0, 0, stats)
-            for c in rng.sample(eng.tables.pivots, len(eng.tables.pivots)):
+            for c in rng.sample(eng.linear.pivots, len(eng.linear.pivots)):
                 bit = 1 << c
                 assert eng._apply(bit & mask, bit & ~mask, stats)
                 _check_fixpoint(eng, ctx)
